@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
@@ -28,12 +29,7 @@ __all__ = [
     "mc_parabolic_min",
 ]
 
-_C1 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)   # Ai(0)
-_C2 = 3.0 ** (-1.0 / 3.0) / math.gamma(1.0 / 3.0)   # -Ai'(0)
 _ROT = cmath.exp(-2j * cmath.pi / 3.0)
-_TWO_THIRDS_PI = 2.0 * math.pi / 3.0
-_FLOAT_SERIES_CUT = 4.0     # double precision holds the series cancellation here
-_SERIES_CUT = 8.0           # beyond this the asymptotic expansions take over
 _MAX_ABS = 50.0
 
 
@@ -45,125 +41,11 @@ class AiryPair:
     bip: complex
 
 
-def _series_float(z: complex):
-    """Maclaurin evaluation of (Ai, Ai', Bi, Bi'); |z| <= 4 keeps full accuracy."""
-    z3 = z * z * z
-    f = 1.0 + 0j
-    t = 1.0 + 0j
-    g = z
-    s = z
-    fp = 0.5 * z * z
-    u = fp
-    gp = 1.0 + 0j
-    sp = 1.0 + 0j
-    for k in range(1, 60):
-        t *= z3 / ((3 * k) * (3 * k - 1))
-        f += t
-        s *= z3 / ((3 * k) * (3 * k + 1))
-        g += s
-        if k > 1:
-            u *= z3 / ((3 * k - 1) * (3 * k - 3))
-            fp += u
-        sp *= z3 / ((3 * k) * (3 * k - 2))
-        gp += sp
-        if abs(t) + abs(s) < 1e-20 * (abs(f) + abs(g) + 1e-30):
-            break
-    ai = _C1 * f - _C2 * g
-    aip = _C1 * fp - _C2 * gp
-    r3 = math.sqrt(3.0)
-    bi = r3 * (_C1 * f + _C2 * g)
-    bip = r3 * (_C1 * fp + _C2 * gp)
-    return ai, aip, bi, bip
-
-
-def _series_mp(z: complex):
-    """Same series in 40-digit arithmetic: rescues the ~23 digits of cancellation
-    that build up toward |z| = 8."""
-    import mpmath as mp
-
-    with mp.workdps(40):
-        zm = mp.mpc(z)
-        z3 = zm ** 3
-        f = mp.mpc(1)
-        t = mp.mpc(1)
-        g = zm
-        s = zm
-        fp = zm * zm / 2
-        u = fp
-        gp = mp.mpc(1)
-        sp = mp.mpc(1)
-        for k in range(1, 200):
-            t *= z3 / ((3 * k) * (3 * k - 1))
-            f += t
-            s *= z3 / ((3 * k) * (3 * k + 1))
-            g += s
-            if k > 1:
-                u *= z3 / ((3 * k - 1) * (3 * k - 3))
-                fp += u
-            sp *= z3 / ((3 * k) * (3 * k - 2))
-            gp += sp
-            if abs(t) + abs(s) < mp.mpf(10) ** (-45) * (abs(f) + abs(g)):
-                break
-        c1 = mp.mpf(3) ** (mp.mpf(-2) / 3) / mp.gamma(mp.mpf(2) / 3)
-        c2 = mp.mpf(3) ** (mp.mpf(-1) / 3) / mp.gamma(mp.mpf(1) / 3)
-        ai = c1 * f - c2 * g
-        aip = c1 * fp - c2 * gp
-        r3 = mp.sqrt(3)
-        bi = r3 * (c1 * f + c2 * g)
-        bip = r3 * (c1 * fp + c2 * gp)
-        return complex(ai), complex(aip), complex(bi), complex(bip)
-
-
-def _ai_asym_direct(z: complex):
-    """Poincare expansion of (Ai, Ai') for |arg z| <= 2pi/3, truncated at the
-    smallest term."""
-    xi = (2.0 / 3.0) * z * cmath.sqrt(z)
-    inv = 1.0 / xi
-    s = 1.0 + 0j
-    sp = 1.0 + 0j
-    u = 1.0
-    term_prev = 1.0
-    sign = 1.0
-    p = 1.0 + 0j
-    for k in range(1, 40):
-        u *= (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
-        v = u * (6 * k + 1) / (1.0 - 6 * k)
-        sign = -sign
-        p *= inv
-        mag = u * abs(p)
-        if mag > term_prev:
-            break
-        term_prev = mag
-        s += sign * u * p
-        sp += sign * v * p
-        if mag < 1e-18:
-            break
-    zq = z ** 0.25
-    pref = cmath.exp(-xi) / (2.0 * math.sqrt(math.pi))
-    ai = pref * s / zq
-    aip = -pref * zq * sp
-    return ai, aip
-
-
-def _ai_asym(z: complex):
-    """(Ai, Ai') for any arg via the three-ray connection identity."""
-    if abs(cmath.phase(z)) <= _TWO_THIRDS_PI + 1e-12:
-        return _ai_asym_direct(z)
-    w1 = z * _ROT
-    w2 = z / _ROT
-    a1, ap1 = _ai_asym_direct(w1)
-    a2, ap2 = _ai_asym_direct(w2)
-    e = cmath.exp(2j * cmath.pi / 3.0)
-    ai = -a1 / e - e * a2
-    aip = -e * ap1 - ap2 / e
-    return ai, aip
-
-
 def airy_pair(zeta) -> AiryPair:
     """Ai, Ai', Bi, Bi' at a complex point, |zeta| <= 50.
 
-    Series below |zeta| = 8 (bigfloat backed above 4), asymptotics with sector
-    rotation beyond; the lower half plane goes through conjugation symmetry.
+    One call of scipy's AMOS evaluator; the lower half plane goes through
+    conjugation symmetry, so conjugate points give exactly conjugate values.
     """
     z = complex(zeta)
     r = abs(z)
@@ -173,17 +55,7 @@ def airy_pair(zeta) -> AiryPair:
         p = airy_pair(z.conjugate())
         return AiryPair(p.ai.conjugate(), p.aip.conjugate(),
                         p.bi.conjugate(), p.bip.conjugate())
-    if r <= _FLOAT_SERIES_CUT:
-        ai, aip, bi, bip = _series_float(z)
-    elif r <= _SERIES_CUT:
-        ai, aip, bi, bip = _series_mp(z)
-    else:
-        ai, aip = _ai_asym(z)
-        w = z * _ROT
-        aw, apw = _ai_asym(w)
-        bi = 1j * ai + 2.0 * cmath.exp(-1j * cmath.pi / 6.0) * aw
-        bip = 1j * aip + 2.0 * cmath.exp(-1j * 5.0 * cmath.pi / 6.0) * apw
-    return AiryPair(ai, aip, bi, bip)
+    return AiryPair(*(complex(v) for v in special.airy(z)))
 
 
 # --- the one-sided exit kernel ---
@@ -261,7 +133,10 @@ def min_law_tables(n_grid: int = 121, u_max: float = 6.0) -> MinLawTables:
     sel = us >= u_max - 1.5
     xs = us[sel] ** 1.5
     ys = np.log(np.maximum(1.0 - Ks[sel] ** 2, 1e-300))
-    b, a = np.polyfit(xs, ys, 1)
+    b = np.polyfit(xs, ys, 1)[0]
+    # keep the fitted slope but anchor the level at the last node, so the cdf
+    # has no jump where the tail takes over from the table
+    a = ys[-1] - b * xs[-1]
     return MinLawTables(us, Ks, float(a), float(b))
 
 

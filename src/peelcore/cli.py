@@ -11,10 +11,8 @@ import os
 import sys
 
 from . import experiments, scaling
-from .ensemble import EnsembleParams
 from .experiments import ExperimentConfig
 from .kernels import kernel_max_discrepancy
-from .ode import critical_constants
 
 __all__ = ["main"]
 
@@ -110,10 +108,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     if args.command == "constants":
-        params = EnsembleParams(l=args.l, n=100, m=100)
-        cc = critical_constants(params)
-        if args.with_omega:
-            cc = experiments.get_constants(args.l)
+        cc = experiments.get_constants(args.l, with_omega=args.with_omega)
         for k, v in cc.as_dict().items():
             if v is not None:
                 print(f"{k} = {v!r}")

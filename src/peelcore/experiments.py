@@ -57,6 +57,17 @@ class ExperimentConfig:
     out_dir: str = "peelcore_out"
     block: int = 500
 
+    def __post_init__(self):
+        for name in ("reps", "block", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.experiment in ("core-prob", "nc") and not self.m_list:
+            raise ValueError(f"{self.experiment} needs a nonempty m_list")
+        if self.experiment == "core-prob" and not (self.r_list or self.rho_list):
+            raise ValueError("core-prob needs a nonempty r_list or rho_list")
+        if self.experiment == "core-size" and not self.n_list:
+            raise ValueError("core-size needs a nonempty n_list")
+
 
 @dataclass(frozen=True)
 class ExperimentRecord:
@@ -117,6 +128,8 @@ def _wilson_or_normal(p_hat: float, reps: int):
 
 
 def _blocks(reps: int, block: int):
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
     out = []
     done = 0
     b = 0
@@ -128,15 +141,12 @@ def _blocks(reps: int, block: int):
     return out
 
 
-def _core_prob_block(task):
-    l, n, m, seed, point_idx, block_idx, breps, small_frac = task
+def _core_size_block(task):
+    """Core sizes (v-nodes) of one block of sampled graphs."""
+    l, n, m, seed, point_idx, block_idx, breps = task
     rng = np.random.default_rng([seed, point_idx, block_idx])
     sockets = rng.integers(0, m, size=(breps, n, l))
-    mask = batch_core_mask(sockets, m)
-    sizes = mask.sum(axis=1)
-    nonempty = int((sizes > 0).sum())
-    small = int(((sizes > 0) & (sizes < small_frac * m)).sum())
-    return nonempty, small
+    return batch_core_mask(sockets, m).sum(axis=1)
 
 
 def _onset_block(task):
@@ -144,14 +154,6 @@ def _onset_block(task):
     rng = np.random.default_rng([seed, point_idx, block_idx])
     sockets = rng.integers(0, m, size=(breps, m, l))
     return batch_onset_edge_counts(sockets, m).tolist()
-
-
-def _core_size_block(task):
-    l, n, m, seed, point_idx, block_idx, breps = task
-    rng = np.random.default_rng([seed, point_idx, block_idx])
-    sockets = rng.integers(0, m, size=(breps, n, l))
-    mask = batch_core_mask(sockets, m)
-    return mask.sum(axis=1).tolist()
 
 
 def _map_tasks(worker, tasks, workers: int):
@@ -187,12 +189,12 @@ def run_core_prob(cfg: ExperimentConfig) -> list:
         bl = _blocks(cfg.reps, cfg.block)
         spans.append(len(bl))
         for b_idx, breps in bl:
-            tasks.append((cfg.l, n, m, cfg.seed, p_idx, b_idx, breps, 0.02))
-    results = _map_tasks(_core_prob_block, tasks, cfg.workers)
+            tasks.append((cfg.l, n, m, cfg.seed, p_idx, b_idx, breps))
+    results = _map_tasks(_core_size_block, tasks, cfg.workers)
     records = []
     at = 0
     for p_idx, (m, n) in enumerate(pts):
-        hits = sum(r[0] for r in results[at:at + spans[p_idx]])
+        hits = sum(int((s > 0).sum()) for s in results[at:at + spans[p_idx]])
         at += spans[p_idx]
         rho = m / n
         pred = scaling.predict_core_prob(n, rho, cc)
@@ -209,11 +211,10 @@ def small_core_fraction(l: int, n: int, m: int, reps: int, seed: int,
                         block: int = 500):
     """(fraction of replicates with a nonempty core below threshold*m v-nodes,
     fraction nonempty)."""
-    tasks = [(l, n, m, seed, 0, b, breps, threshold)
-             for b, breps in _blocks(reps, block)]
-    results = _map_tasks(_core_prob_block, tasks, workers)
-    nonempty = sum(r[0] for r in results)
-    small = sum(r[1] for r in results)
+    tasks = [(l, n, m, seed, 0, b, breps) for b, breps in _blocks(reps, block)]
+    sizes = np.concatenate(_map_tasks(_core_size_block, tasks, workers))
+    nonempty = int((sizes > 0).sum())
+    small = int(((sizes > 0) & (sizes < threshold * m)).sum())
     return small / reps, nonempty / reps
 
 
@@ -257,7 +258,7 @@ def run_core_size(cfg: ExperimentConfig) -> list:
         tasks = [(cfg.l, n, m, cfg.seed, p_idx, b, breps)
                  for b, breps in _blocks(cfg.reps, cfg.block)]
         chunks = _map_tasks(_core_size_block, tasks, cfg.workers)
-        all_sizes = np.array([s for ch in chunks for s in ch])
+        all_sizes = np.concatenate(chunks)
         sizes = all_sizes[all_sizes > 0]
         std = scaling.standardize_core_size(sizes.astype(float), n, cc)
         results.append(CoreSizeResult(n, m, sizes, int((all_sizes == 0).sum()), std))

@@ -2,7 +2,7 @@
 
 Exact finite-n kernel (ratio of ensemble counts times an explicit transition
 count, summed over a small integer simplex) and its large-n multinomial
-approximation, plus chain simulators and the conditional-ensemble sampler used
+approximation, plus a chain simulator and the conditional-ensemble sampler used
 to validate the exact kernel empirically.
 """
 
@@ -32,14 +32,12 @@ __all__ = [
     "f1_eval",
     "f1_prime",
     "solve_lambda",
-    "solve_lambda_vec",
     "project_feasible",
     "p_triple",
     "w_hat",
     "w_exact",
     "ChainRecord",
     "simulate_chain",
-    "simulate_chain_batch",
     "sample_conditional_steps",
     "kernel_max_discrepancy",
     "default_state_grid",
@@ -204,32 +202,6 @@ def solve_lambda(xi: float) -> float:
     return lam
 
 
-def solve_lambda_vec(xi: np.ndarray) -> np.ndarray:
-    """Vectorized solve_lambda (same branches, bisection + two Newton steps)."""
-    xi = np.asarray(xi, dtype=float)
-    if (xi < 2.0 - 1e-9).any():
-        raise ValueError("xi below 2 is infeasible")
-    xi = np.maximum(xi, 2.0)
-    d = xi - 2.0
-    out = d * (3.0 + d * (-1.5 + 1.2 * d))
-    big = d >= 1e-6
-    if big.any():
-        x = xi[big]
-        lo = np.zeros_like(x)
-        hi = x.copy()
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            below = f1_eval(mid) < x
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        lam = 0.5 * (lo + hi)
-        for _ in range(2):
-            lam -= (f1_eval(lam) - x) / f1_prime(lam)
-            lam = np.clip(lam, lo, hi)
-        out[big] = lam
-    return out
-
-
 # --- feasible set and probability triple ---
 
 
@@ -297,22 +269,6 @@ def p_triple(x, theta: float, params: EnsembleParams) -> ProbTriple:
     p2 = max(min(p2, 1.0 - p0 - p1), 0.0)
     p1 = 1.0 - p0 - p2
     return ProbTriple(p0, p1, p2, lam)
-
-
-def _p_triple_vec(x1, x2, theta, l):
-    """Vectorized p_triple on already-feasible states; returns (p0, p1, p2)."""
-    L = l * (1.0 - theta)
-    x1c = np.maximum(x1, 0.0)
-    p0 = x1c / L
-    tiny = x2 < 1e-12 * L
-    xi = np.where(tiny, 2.0, (L - x1c) / np.where(tiny, 1.0, x2))
-    lam = solve_lambda_vec(xi)
-    p1 = np.where(tiny, 0.0, x2 * psi_eval(lam) / L)
-    p2 = np.where(tiny, 1.0 - p0, x2 * lam / L)
-    p1 = np.clip(p1, 0.0, 1.0)
-    p2 = np.clip(p2, 0.0, np.maximum(1.0 - p0 - p1, 0.0))
-    p1 = 1.0 - p0 - p2
-    return p0, p1, p2
 
 
 # --- kernel distributions ---
@@ -490,49 +446,6 @@ def simulate_chain(params: EnsembleParams, rng: np.random.Generator,
         if z[0] <= 0 and stop == n:
             stop = tau + 1
     return ChainRecord(profiles, stop, min_z1)
-
-
-def simulate_chain_batch(params: EnsembleParams, reps: int, rng: np.random.Generator):
-    """Vectorized approximate-kernel chains: returns (mean trajectory (n+1, 2),
-    min z1 per replicate, stop time per replicate)."""
-    n, l, m = params.n, params.l, params.m
-    z = np.empty((reps, 2), dtype=np.int64)
-    counts = rng.multinomial(n * l, np.full(m, 1.0 / m), size=reps)
-    z[:, 0] = (counts == 1).sum(axis=1)
-    z[:, 1] = (counts >= 2).sum(axis=1)
-    del counts
-    mean_traj = np.zeros((n + 1, 2))
-    mean_traj[0] = z.mean(axis=0)
-    min_z1 = z[:, 0].copy()
-    stop = np.full(reps, n, dtype=np.int64)
-    never = z[:, 0] > 0
-    stop[~never] = 0
-    for tau in range(n):
-        theta = tau / n
-        L = l * (1.0 - theta)
-        x1 = z[:, 0] / n
-        x2 = np.maximum(z[:, 1] / n, 0.0)
-        # cheap projection: the chain stays near the feasible slab; clip the
-        # rare boundary violations coordinatewise then renormalize the slack
-        over = x1 + 2.0 * x2 > L
-        if over.any():
-            scale = L / (x1[over] + 2.0 * x2[over])
-            x1[over] *= scale
-            x2[over] *= scale
-        p0, p1, p2 = _p_triple_vec(x1, x2, theta, l)
-        a0 = np.zeros(reps, dtype=np.int64)
-        a1 = np.zeros(reps, dtype=np.int64)
-        for _ in range(l - 1):
-            u = rng.random(reps)
-            a0 += u < p0
-            a1 += (u >= p0) & (u < p0 + p1)
-        z[:, 0] += a1 - a0 - 1
-        z[:, 1] -= a1
-        mean_traj[tau + 1] = z.mean(axis=0)
-        np.minimum(min_z1, z[:, 0], out=min_z1)
-        hit = (z[:, 0] <= 0) & (stop == n) & never
-        stop[hit] = tau + 1
-    return mean_traj, min_z1, stop
 
 
 # --- conditional-ensemble sampler (empirical oracle for the exact kernel) ---

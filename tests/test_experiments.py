@@ -9,10 +9,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from peelcore import cli
+from peelcore import cli, experiments
 from peelcore.experiments import (
     CSV_HEADER,
     ExperimentConfig,
+    _blocks,
     _n_for_r,
     _wilson_or_normal,
     emit_core_prob,
@@ -171,6 +172,36 @@ def test_small_core_fraction_run():
     assert 0.0 <= small <= nonempty <= 1.0
 
 
+@pytest.mark.parametrize("experiment, bad", [
+    ("core-prob", {"reps": 0}),
+    ("nc", {"block": 0}),
+    ("core-size", {"workers": 0}),
+    ("core-prob", {"block": -3}),
+    ("core-prob", {"m_list": ()}),
+    ("nc", {"m_list": ()}),
+    ("core-prob", {"r_list": (), "rho_list": ()}),
+    ("core-size", {"n_list": ()}),
+])
+def test_config_rejects_bad_driver_inputs(tmp_path, experiment, bad):
+    with pytest.raises(ValueError):
+        _tiny_cfg(experiment, tmp_path, **bad)
+
+
+def test_config_accepts_grids_its_experiment_ignores(tmp_path):
+    _tiny_cfg("core-prob", tmp_path, r_list=(), rho_list=(1.2,), n_list=())
+    _tiny_cfg("nc", tmp_path, r_list=(), n_list=())
+    _tiny_cfg("core-size", tmp_path, m_list=(), r_list=())
+
+
+def test_blocks_rejects_nonpositive_block():
+    assert _blocks(5, 2) == [(0, 2), (1, 2), (2, 1)]
+    for block in (0, -1):
+        with pytest.raises(ValueError):
+            _blocks(5, block)
+    with pytest.raises(ValueError):
+        small_core_fraction(3, 80, 98, reps=10, seed=4, block=0)
+
+
 # --- config file and CLI ---
 
 
@@ -238,6 +269,24 @@ def test_cli_constants_subprocess():
     assert float(vals["rho_c"]) == pytest.approx(1.2217931327672212, rel=1e-12)
     assert float(vals["alpha"]) == pytest.approx(0.6723721429640561, rel=1e-8)
     assert "omega" not in vals
+
+
+def test_cli_constants_with_omega_computes_constants_once(monkeypatch, capsys):
+    calls = []
+    real = experiments.critical_constants
+
+    def counted(params):
+        calls.append(params)
+        return real(params)
+
+    # count calls made by the CLI itself as well as through get_constants
+    monkeypatch.setattr(experiments, "critical_constants", counted)
+    monkeypatch.setattr(cli, "critical_constants", counted, raising=False)
+    get_constants.cache_clear()
+    assert cli.main(["constants", "--with-omega"]) == 0
+    assert len(calls) == 1
+    vals = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    assert float(vals["omega"]) == pytest.approx(0.99619, abs=1e-5)
 
 
 def test_cli_kernel_check_subprocess():

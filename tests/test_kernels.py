@@ -26,7 +26,6 @@ from peelcore.kernels import (
     sample_conditional_steps,
     simulate_chain,
     solve_lambda,
-    solve_lambda_vec,
     w_exact,
     w_hat,
 )
@@ -178,9 +177,6 @@ def test_solve_lambda_round_trip():
         xi = f1_eval(lam)
         back = solve_lambda(float(xi))
         assert back == pytest.approx(lam, rel=1e-8, abs=1e-12)
-    vec = np.array([2.1, 2.5, 3.0, 7.0, 20.0])
-    lams = solve_lambda_vec(vec)
-    assert np.allclose(f1_eval(lams), vec, rtol=1e-9)
 
 
 def test_solve_lambda_boundary():
