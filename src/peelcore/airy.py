@@ -80,6 +80,8 @@ def kernel_K(z: float) -> float:
     K(inf) = 1.  Double precision reliable for z <= 6."""
     if z < 0.0:
         raise ValueError("kernel K defined for z >= 0")
+    if z > 6.0:
+        raise ValueError(f"kernel K is reliable only for z <= 6, got {z}")
     if z == 0.0:
         return 0.0
     w = 2.0 ** (1.0 / 3.0) * z

@@ -7,6 +7,7 @@ the PEELCORE_SEED environment variable (seed only), then built-in defaults.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -21,60 +22,35 @@ def _parse_list(text: str, cast):
     return tuple(cast(tok) for tok in text.split(",") if tok.strip())
 
 
+_LIST_TYPES = {"m_list": int, "rho_list": float, "r_list": float, "n_list": int}
+
+
+def _config_fields():
+    return [f for f in dataclasses.fields(ExperimentConfig) if f.name != "experiment"]
+
+
 def _add_common(sp):
-    sp.add_argument("--l", type=int, default=None)
-    sp.add_argument("--m-list", type=str, default=None)
-    sp.add_argument("--rho-list", type=str, default=None)
-    sp.add_argument("--r-list", type=str, default=None)
-    sp.add_argument("--n-list", type=str, default=None)
-    sp.add_argument("--reps", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=None)
-    sp.add_argument("--out-dir", type=str, default=None)
-    sp.add_argument("--block", type=int, default=None)
+    for field in _config_fields():
+        sp.add_argument("--" + field.name.replace("_", "-"), default=None,
+                        type=str if field.name in _LIST_TYPES else type(field.default))
     sp.add_argument("--config", type=str, default=None)
 
 
 def _build_config(args, experiment: str) -> ExperimentConfig:
-    file_vals = {}
-    if args.config:
-        file_vals = experiments.load_config_file(args.config)
-    dflt = ExperimentConfig()
-
-    def pick(flag_val, key, cast, default):
-        if flag_val is not None:
-            return flag_val
-        if key in file_vals:
-            return cast(file_vals[key])
-        return default
-
-    seed = args.seed
-    if seed is None and "seed" in file_vals:
-        seed = int(file_vals["seed"])
-    if seed is None and os.environ.get("PEELCORE_SEED"):
-        seed = int(os.environ["PEELCORE_SEED"])
-    if seed is None:
-        seed = dflt.seed
-
-    return ExperimentConfig(
-        experiment=experiment,
-        l=pick(args.l, "l", int, dflt.l),
-        m_list=(_parse_list(args.m_list, int) if args.m_list is not None
-                else pick(None, "m_list", lambda s: _parse_list(s, int), dflt.m_list)),
-        rho_list=(_parse_list(args.rho_list, float) if args.rho_list is not None
-                  else pick(None, "rho_list", lambda s: _parse_list(s, float),
-                            dflt.rho_list)),
-        r_list=(_parse_list(args.r_list, float) if args.r_list is not None
-                else pick(None, "r_list", lambda s: _parse_list(s, float),
-                          dflt.r_list)),
-        n_list=(_parse_list(args.n_list, int) if args.n_list is not None
-                else pick(None, "n_list", lambda s: _parse_list(s, int), dflt.n_list)),
-        reps=pick(args.reps, "reps", int, dflt.reps),
-        seed=seed,
-        workers=pick(args.workers, "workers", int, dflt.workers),
-        out_dir=pick(args.out_dir, "out_dir", str, dflt.out_dir),
-        block=pick(args.block, "block", int, dflt.block),
-    )
+    file_vals = experiments.load_config_file(args.config) if args.config else {}
+    vals = {}
+    for field in _config_fields():
+        name = field.name
+        raw = getattr(args, name)
+        if raw is None:
+            raw = file_vals.get(name)
+        if raw is None and name == "seed":
+            raw = os.environ.get("PEELCORE_SEED") or None
+        if raw is None:
+            continue
+        cast = _LIST_TYPES.get(name)
+        vals[name] = _parse_list(raw, cast) if cast else type(field.default)(raw)
+    return ExperimentConfig(experiment=experiment, **vals)
 
 
 def main(argv=None) -> int:

@@ -129,33 +129,40 @@ def sample_profiles(params: EnsembleParams, reps: int, rng: np.random.Generator,
 # exact counting
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _log_factorials(nmax: int) -> np.ndarray:
     lf = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, nmax + 1)))])
     lf.flags.writeable = False
     return lf
 
 
-@lru_cache(maxsize=None)
+def _log_coeff_columns(t: int, s_max: int):
+    """Yield, for s = 0..s_max, the column log coeff[(e^x - 1 - x)^t', x^s] over
+    t' = 0..t (-inf where zero).
+
+    With g = e^x - 1 - x, g' = g + x, so s c(s,t) = t (c(s-1,t) + c(s-2,t-1)):
+    the 2-associated Stirling numbers of the second kind scaled by t!/s!
+    (Comtet 1974).  Both terms are nonnegative, so the log-space sum has no
+    cancellation; only the two previous columns are kept.
+    """
+    log_t = np.log(np.arange(1, t + 1))
+    prev, col = np.full(t + 1, -np.inf), np.full(t + 1, -np.inf)   # s = -1, s = 0
+    col[0] = 0.0
+    yield col
+    for s in range(1, s_max + 1):
+        nxt = np.full(t + 1, -np.inf)
+        nxt[1:] = log_t - math.log(s) + np.logaddexp(col[1:], prev[:-1])
+        prev, col = col, nxt
+        yield col
+
+
+@lru_cache(maxsize=256)
 def log_coeff_rows(t: int, s_max: int) -> np.ndarray:
     """Row of log coeff[(e^x - 1 - x)^t, x^s] for s = 0..s_max (-inf where zero).
 
-    DP over the t factors; each factor contributes x^k/k! for k >= 2, so the
-    convolution is over nonnegative terms and is exact in log space.
+    One pass over s with O(t + s_max) memory and no recursion.
     """
-    row = np.full(s_max + 1, -np.inf)
-    if t == 0:
-        row[0] = 0.0
-        row.flags.writeable = False
-        return row
-    prev = log_coeff_rows(t - 1, s_max)
-    lf = _log_factorials(s_max)
-    for s in range(2 * t, s_max + 1):
-        ks = np.arange(2, s - 2 * (t - 1) + 1)
-        vals = prev[s - ks] - lf[ks]
-        vmax = vals.max()
-        if vmax > -np.inf:
-            row[s] = vmax + math.log(np.exp(vals - vmax).sum())
+    row = np.array([col[t] for col in _log_coeff_columns(t, s_max)])
     row.flags.writeable = False
     return row
 

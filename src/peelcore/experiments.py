@@ -111,6 +111,8 @@ def _n_for_r(r: float, m: int, rho_c: float) -> int:
 
 
 def _wilson_or_normal(p_hat: float, reps: int):
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / reps)
     z = 1.959963984540054
     if p_hat * (1.0 - p_hat) * reps < 10.0:
@@ -272,7 +274,13 @@ def _fmt(v) -> str:
     return repr(v) if isinstance(v, float) else str(v)
 
 
+def _require_results(results: list):
+    if not results:
+        raise ValueError("nothing to emit: the result list is empty")
+
+
 def emit_core_prob(cfg: ExperimentConfig, records: list) -> list:
+    _require_results(records)
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "core_prob.csv")
     with open(csv_path, "w", newline="") as f:
@@ -287,6 +295,7 @@ def emit_core_prob(cfg: ExperimentConfig, records: list) -> list:
 
 
 def emit_onset(cfg: ExperimentConfig, results: list) -> list:
+    _require_results(results)
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "onset.csv")
     with open(csv_path, "w", newline="") as f:
@@ -304,6 +313,7 @@ def emit_onset(cfg: ExperimentConfig, results: list) -> list:
 
 
 def emit_core_size(cfg: ExperimentConfig, results: list) -> list:
+    _require_results(results)
     os.makedirs(cfg.out_dir, exist_ok=True)
     cc = get_constants(cfg.l)
     csv_path = os.path.join(cfg.out_dir, "core_size.csv")

@@ -17,8 +17,9 @@ import numpy as np
 
 from .ensemble import (
     EnsembleParams,
+    _log_coeff_columns,
+    _log_factorials,
     degree_profile,
-    log_coeff_rows,
     log_ensemble_count,
     sample_uniform,
 )
@@ -61,7 +62,9 @@ _F0_HORNER = tuple(1.0 / math.factorial(k + 2) for k in range(12, -1, -1))
 _PSIP_HORNER = tuple(reversed(_PSI_PRIME_COEFFS))
 
 
-def _f0_s(x: float) -> float:
+def f0_eval(lam: float) -> float:
+    """(e^lam - 1 - lam)/lam^2, continuous value 1/2 at 0."""
+    x = float(lam)
     if abs(x) < _SERIES_CUT:
         acc = 0.0
         for c in _F0_HORNER:
@@ -72,7 +75,13 @@ def _f0_s(x: float) -> float:
     return (math.expm1(x) - x) / (x * x)
 
 
-def _psi_prime_s(x: float) -> float:
+def psi_eval(lam: float) -> float:
+    """lam^2/(e^lam - 1 - lam) = 1/f0; equals 2 at 0, decays to 0 as lam -> inf."""
+    return 1.0 / f0_eval(lam)
+
+
+def psi_prime(lam: float) -> float:
+    x = float(lam)
     if abs(x) < _SERIES_CUT:
         acc = 0.0
         for c in _PSIP_HORNER:
@@ -85,77 +94,16 @@ def _psi_prime_s(x: float) -> float:
     return x * (2.0 * d - x * e1) / (d * d)
 
 
-def f0_eval(lam):
-    """(e^lam - 1 - lam)/lam^2, continuous value 1/2 at 0."""
-    if np.ndim(lam) == 0:
-        return _f0_s(float(lam))
-    lam = np.asarray(lam, dtype=float)
-    small = np.abs(lam) < _SERIES_CUT
-    out = np.empty_like(lam)
-    if small.any():
-        x = lam[small]
-        acc = np.zeros_like(x)
-        for c in _F0_HORNER:
-            acc = acc * x + c
-        out[small] = acc
-    if (~small).any():
-        x = lam[~small]
-        with np.errstate(over="ignore"):
-            out[~small] = np.where(x > 500.0, np.inf, (np.expm1(x) - x) / (x * x))
-    return out
-
-
-def psi_eval(lam):
-    """lam^2/(e^lam - 1 - lam) = 1/f0; equals 2 at 0, decays to 0 as lam -> inf."""
-    if np.ndim(lam) == 0:
-        return 1.0 / _f0_s(float(lam))
-    f0 = np.asarray(f0_eval(lam), dtype=float)
-    with np.errstate(divide="ignore"):
-        out = 1.0 / f0
-    return out
-
-
-def psi_prime(lam):
-    if np.ndim(lam) == 0:
-        return _psi_prime_s(float(lam))
-    lam = np.asarray(lam, dtype=float)
-    small = np.abs(lam) < _SERIES_CUT
-    out = np.empty_like(lam)
-    if small.any():
-        x = lam[small]
-        acc = np.zeros_like(x)
-        for c in _PSIP_HORNER:
-            acc = acc * x + c
-        out[small] = acc
-    if (~small).any():
-        x = lam[~small]
-        with np.errstate(over="ignore"):
-            big = x > 200.0
-            xs = np.where(big, 1.0, x)
-            e1 = np.expm1(xs)
-            d = e1 - xs
-            val = xs * (2.0 * d - xs * e1) / (d * d)
-            out[~small] = np.where(big, 0.0, val)
-    return out
-
-
-def f1_eval(lam):
+def f1_eval(lam: float) -> float:
     """lam(e^lam - 1)/(e^lam - 1 - lam), the mean-degree map; f1(0) = 2."""
-    if np.ndim(lam) == 0:
-        x = float(lam)
-        if x < 0:
-            raise ValueError("f1 defined for lam >= 0")
-        return x + 1.0 / _f0_s(x)
-    lam = np.asarray(lam, dtype=float)
-    if (lam < 0).any():
+    x = float(lam)
+    if x < 0:
         raise ValueError("f1 defined for lam >= 0")
-    return lam + np.asarray(psi_eval(lam))
+    return x + psi_eval(x)
 
 
-def f1_prime(lam):
-    if np.ndim(lam) == 0:
-        return 1.0 + _psi_prime_s(float(lam))
-    return 1.0 + np.asarray(psi_prime(lam))
+def f1_prime(lam: float) -> float:
+    return 1.0 + psi_prime(lam)
 
 
 def solve_lambda(xi: float) -> float:
@@ -178,20 +126,20 @@ def solve_lambda(xi: float) -> float:
     lo, hi = 0.0, xi  # f1(lam) > lam, so the root is below xi
     for _ in range(12):
         mid = 0.5 * (lo + hi)
-        if mid + 1.0 / _f0_s(mid) < xi:
+        if mid + 1.0 / f0_eval(mid) < xi:
             lo = mid
         else:
             hi = mid
     lam = 0.5 * (lo + hi)
     for _ in range(8):
-        r = lam + 1.0 / _f0_s(lam) - xi
+        r = lam + 1.0 / f0_eval(lam) - xi
         if r == 0.0:
             return lam
         if r > 0.0:
             hi = lam
         else:
             lo = lam
-        nxt = lam - r / (1.0 + _psi_prime_s(lam))
+        nxt = lam - r / (1.0 + psi_prime(lam))
         if not lo < nxt < hi:
             # clamp an overshoot to the violated end (the bracket may be 1 ulp wide)
             b = hi if nxt >= hi else lo
@@ -323,7 +271,7 @@ def w_hat(x, theta: float, params: EnsembleParams) -> KernelDistribution:
     return KernelDistribution(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _coeff_mixed(n_em1mx: int, n_em1: int, deg: int) -> Fraction:
     """Exact coeff[(e^x - 1 - x)^n_em1mx (e^x - 1)^n_em1, x^deg]."""
     row = [Fraction(0)] * (deg + 1)
@@ -401,16 +349,11 @@ class ChainRecord:
     min_z1: int
 
 
-_exact_cache = {}
-
-
-def _w_exact_cached(z1, z2, tau, params):
-    key = (params.l, params.n, params.m, z1, z2, tau)
-    hit = _exact_cache.get(key)
-    if hit is None:
-        hit = w_exact((z1, z2), tau, params).arrays()
-        _exact_cache[key] = hit
-    return hit
+@lru_cache(maxsize=4096)
+def _w_exact_arrays(z1: int, z2: int, tau: int, params: EnsembleParams):
+    inc, p = w_exact((z1, z2), tau, params).arrays()
+    inc.flags.writeable = p.flags.writeable = False
+    return inc, p
 
 
 def simulate_chain(params: EnsembleParams, rng: np.random.Generator,
@@ -435,7 +378,7 @@ def simulate_chain(params: EnsembleParams, rng: np.random.Generator,
             if z[0] == 0:
                 profiles[tau + 1] = z
                 continue
-            inc, p = _w_exact_cached(int(z[0]), int(z[1]), tau, params)
+            inc, p = _w_exact_arrays(int(z[0]), int(z[1]), tau, params)
         else:
             x = project_feasible(z / n, tau / n, params)
             inc, p = w_hat(x, tau / n, params).arrays()
@@ -472,8 +415,8 @@ def sample_conditional_steps(profile, tau: int, params: EnsembleParams,
     s_deg2 = S - z1
     if log_ensemble_count((z1, z2), tau, params) == -np.inf:
         raise ValueError("infeasible profile")
-    lf = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, S + 1)))])
-    rows = [log_coeff_rows(t, S) for t in range(z2 + 1)]
+    lf = _log_factorials(S)
+    rows = np.array(list(_log_coeff_columns(z2, S))).T     # rows[t][s], t = 0..z2
     out = np.empty((reps, 2), dtype=np.int64)
     done = 0
     while done < reps:

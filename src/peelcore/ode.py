@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .ensemble import EnsembleParams
 from .kernels import (
@@ -162,39 +164,26 @@ def _h_rho(u: float, rho: float, l: int) -> float:
 
 def theta_minus(rho: float, params: EnsembleParams) -> float:
     """Largest theta with h_rho(u(theta)) >= 0 on the way from theta = 0; 1.0 when
-    h_rho never crosses (rho >= rho_c)."""
+    h_rho never crosses (rho >= rho_c, or so close below that h_rho rounds to
+    >= 0 at theta_c).
+
+    Below rho_c, h_rho(1) > 0 > h_rho(u2): h_rho(u) = 0 exactly where
+    -log(1 - u)/u^(l-1) = l/rho, and that ratio increases on [u2, 1], so the
+    crossing is the one root of h_rho(u(theta)) on [0, theta_c].
+    """
     l = params.l
-    rho_c = critical_point(params)[0]
-    if rho >= rho_c:
+    rho_c, theta_c, _ = critical_point(params)
+
+    def h(theta):
+        return _h_rho((1.0 - theta) ** (1.0 / l), rho, l)
+
+    if rho >= rho_c or h(theta_c) >= 0.0:
         return 1.0
-    K = 20000
-    prev = 0.0
-    for k in range(1, K + 1):
-        th = k / K
-        u = (1.0 - th) ** (1.0 / l)
-        if _h_rho(u, rho, l) <= 0.0:
-            lo, hi = prev, th
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if _h_rho((1.0 - mid) ** (1.0 / l), rho, l) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-        prev = th
-    return 1.0
+    return brentq(h, 0.0, theta_c, xtol=1e-300)
 
 
-_critical_cache = {}
-
-
-def critical_point(params: EnsembleParams):
-    """(rho_c, theta_c, u2): the density where the trajectory minimum develops a
-    tangential zero, by reducing the double-root system to one equation in u."""
-    l = params.l
-    if l in _critical_cache:
-        return _critical_cache[l]
-
+@lru_cache(maxsize=8)
+def _critical_point_l(l: int):
     def g(u):
         return u - 1.0 + math.exp(-u / ((l - 1) * (1.0 - u)))
 
@@ -216,8 +205,13 @@ def critical_point(params: EnsembleParams):
     hvals = ugrid - 1.0 + np.exp(-gamma_c * ugrid ** (l - 1))
     if hvals.min() < -1e-10:
         raise RuntimeError(f"h_rho_c dips to {hvals.min()}; critical point unreliable")
-    _critical_cache[l] = (rho_c, theta_c, u2)
-    return _critical_cache[l]
+    return rho_c, theta_c, u2
+
+
+def critical_point(params: EnsembleParams):
+    """(rho_c, theta_c, u2): the density where the trajectory minimum develops a
+    tangential zero, by reducing the double-root system to one equation in u."""
+    return _critical_point_l(params.l)
 
 
 # --- integration ---

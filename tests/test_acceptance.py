@@ -53,7 +53,7 @@ def _verdict(lines, tag, ok, detail):
 
 
 def test_c01_critical_density(acceptance_lines):
-    ode._critical_cache.pop(3, None)
+    ode._critical_point_l.cache_clear()
     t0 = time.perf_counter()
     rho_c, theta_c, u2 = critical_point(PARAMS_L3)
     dt = time.perf_counter() - t0

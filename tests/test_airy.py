@@ -140,6 +140,12 @@ def test_kernel_edge_behavior():
     assert 0 < vals[0] < vals[-1] < 1
 
 
+def test_kernel_rejects_z_beyond_reliable_range():
+    assert kernel_K(6.0) == pytest.approx(FROZEN_K[6.0], abs=1e-8)
+    with pytest.raises(ValueError):
+        kernel_K(6.5)
+
+
 # --- tabulated minimum law ---
 
 

@@ -85,6 +85,35 @@ def test_log_coeff_rows_vs_exact_fractions():
                 assert row[s] == pytest.approx(math.log(float(exact)), abs=1e-11)
 
 
+def test_log_coeff_rows_vs_integer_stirling():
+    # coeff[(e^x - 1 - x)^t, x^s] = t! S2(s, t)/s! with the 2-associated Stirling
+    # numbers S2(s, t) = t S2(s-1, t) + (s-1) S2(s-2, t-1), in exact integers
+    T, S = 60, 300
+    S2 = [[0] * (T + 1) for _ in range(S + 1)]
+    S2[0][0] = 1
+    for s in range(2, S + 1):
+        for t in range(1, T + 1):
+            S2[s][t] = t * S2[s - 1][t] + (s - 1) * S2[s - 2][t - 1]
+    for t in (1, 7, 30, 60):
+        row = log_coeff_rows(t, S)
+        for s in range(S + 1):
+            if S2[s][t] == 0:
+                assert row[s] == -np.inf
+            else:
+                exact = math.log(math.factorial(t) * S2[s][t]) - math.log(math.factorial(s))
+                assert row[s] == pytest.approx(exact, abs=1e-10)
+
+
+def test_log_coeff_rows_cold_deep_row():
+    # a cold call far past the interpreter's recursion limit in t
+    log_coeff_rows.cache_clear()
+    row = log_coeff_rows(1000, 3000)
+    assert row.shape == (3001,)
+    assert np.all(row[:2000] == -np.inf)
+    assert np.all(np.isfinite(row[2000:]))
+    assert not row.flags.writeable
+
+
 def test_sampler_shapes_and_ranges():
     params = EnsembleParams(4, 7, 11)
     rng = np.random.default_rng(0)

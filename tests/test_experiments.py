@@ -60,6 +60,19 @@ def test_wilson_fallback_at_extreme_frequencies():
     assert 0.0 <= lo3 < hi3 <= 1.0
 
 
+def test_wilson_rejects_nonpositive_reps():
+    with pytest.raises(ValueError):
+        _wilson_or_normal(0.0, 0)
+
+
+@pytest.mark.parametrize("emit,experiment", [
+    (emit_core_prob, "core-prob"), (emit_onset, "nc"), (emit_core_size, "core-size")])
+def test_emitters_reject_empty_results(tmp_path, emit, experiment):
+    with pytest.raises(ValueError):
+        emit(_tiny_cfg(experiment, tmp_path / "out"), [])
+    assert not (tmp_path / "out").exists()
+
+
 def test_core_prob_records_and_emission(tmp_path):
     cfg = _tiny_cfg("core-prob", tmp_path / "out")
     records = run_core_prob(cfg)

@@ -167,7 +167,7 @@ def test_tilt_small_argument_series_continuity():
 
 def test_f1_strictly_increasing():
     lam = np.linspace(0.0, 40.0, 4001)
-    vals = f1_eval(lam)
+    vals = np.array([f1_eval(x) for x in lam])
     assert np.all(np.diff(vals) > 0)
 
 
@@ -330,3 +330,20 @@ def test_discrepancy_positive_and_decreasing():
     d16 = kernel_max_discrepancy(16, 1.2218)
     d48 = kernel_max_discrepancy(48, 1.2218)
     assert d16 > d48 > 0
+
+
+@pytest.mark.parametrize("tau", [0, 300])
+def test_exact_kernel_deep_state_normalized(tau):
+    # z2 = 800 needs coefficient rows with t = 800 on a cold cache
+    _, probs = w_exact((150, 800), tau, EnsembleParams(3, 1000, 1222)).arrays()
+    assert np.all(np.isfinite(probs))
+    assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_discrepancy_ladder_slope():
+    # D(n) ~ c/n: the fitted log-log slope over a doubling ladder is near -1
+    ns = np.array([100, 200, 400, 800, 1600])
+    ds = np.array([kernel_max_discrepancy(int(n), 1.2218) for n in ns])
+    assert np.all(ds > 0)
+    slope = np.polyfit(np.log(ns), np.log(ds), 1)[0]
+    assert -1.1 <= slope <= -0.9

@@ -132,6 +132,18 @@ def test_theta_minus_and_guard():
     assert y_closed(tm - 1e-4, 0.95 * rho_c, P3)[0] > 0
 
 
+def test_theta_minus_just_below_critical():
+    # the dip of h_rho below 0 narrows to a point as rho -> rho_c; the crossing
+    # still lies just before theta_c
+    rho_c, theta_c, _ = critical_point(P3)
+    for f in (1 - 1e-9, 1 - 1e-13):
+        tm = theta_minus(f * rho_c, P3)
+        assert theta_c - 1e-3 < tm < theta_c
+        assert _y_formula(tm - 1e-4, f * rho_c, 3)[0] > 0
+    # one ulp below rho_c the dip is lost to rounding: no crossing, no error
+    assert 0.0 < theta_minus(float(np.nextafter(rho_c, 0.0)), P3) <= 1.0
+
+
 def test_subcritical_supercritical_dichotomy():
     rho_c = critical_point(P3)[0]
     ths = np.linspace(0, 0.98, 500)
@@ -161,7 +173,7 @@ def test_critical_point_frozen_values():
 def test_critical_point_fast():
     import time
     from peelcore import ode
-    ode._critical_cache.pop(3, None)
+    ode._critical_point_l.cache_clear()
     t0 = time.time()
     critical_point(P3)
     assert time.time() - t0 < 1.0
