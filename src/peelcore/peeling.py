@@ -5,6 +5,12 @@ The 2-core (every incident vertex covered >= 2 times) is the unique maximum
 stopping set, hence independent of removal order; the sequential peel below is
 the order the profile chain is defined with, while the round-based routines
 exploit order invariance for speed.
+
+The onset of an edge stream is the first prefix length whose 2-core is
+nonempty.  The core is monotone under edge addition and idempotent, so
+Core(t) = core(Core(t+1) minus edge t) for the prefix cores Core(t): one
+reverse deletion pass from the full-stream core visits every Core(t), and the
+onset is one past the index at which that pass empties the core.
 """
 
 from __future__ import annotations
@@ -116,8 +122,13 @@ def batch_core_mask(sockets: np.ndarray, m: int, init_alive: np.ndarray | None =
 
     Each round removes every v-node incident to a degree-1 vertex; the fixpoint is
     the 2-core of each replicate (optionally restricted to init_alive edge subsets).
+    Raises ValueError for a socket outside [0, m), which would otherwise alias
+    into a neighbouring replicate's vertices.
     """
     R, n, l = sockets.shape
+    if sockets.size and (sockets.min() < 0 or sockets.max() >= m):
+        raise ValueError(f"sockets must lie in [0, {m}), got range "
+                         f"[{sockets.min()}, {sockets.max()}]")
     alive = np.ones((R, n), dtype=bool) if init_alive is None else init_alive.copy()
     flat = sockets + (np.arange(R, dtype=sockets.dtype) * m)[:, None, None]
     while True:
@@ -168,52 +179,59 @@ def brute_force_max_stopping_set(H: Hypergraph) -> frozenset:
     return frozenset(i for i in range(n) if best_mask >> i & 1)
 
 
-def _prefix_has_core(sockets: np.ndarray, m: int, t: int) -> bool:
-    if t == 0:
-        return False
-    sub = sockets[None, :t, :]
-    return bool(batch_core_mask(sub, m)[0].any())
-
-
 def onset_edge_count(edge_stream: np.ndarray, m: int) -> int:
-    """Smallest prefix length of the edge stream whose hypergraph has a nonempty core.
-
-    Binary search is valid because the core is monotone under edge addition
-    (a stopping set stays a stopping set).  Returns n_max + 1 if no prefix works.
-    """
-    n_max = edge_stream.shape[0]
-    if not _prefix_has_core(edge_stream, m, n_max):
-        return n_max + 1
-    lo, hi = 1, n_max  # invariant: core(hi) nonempty, core(lo-1) empty
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _prefix_has_core(edge_stream, m, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    """Smallest prefix length of the edge stream whose hypergraph has a nonempty
+    core, or n_max + 1 if even the whole stream has none: the one-stream form
+    of `batch_onset_edge_counts` and its reverse pass."""
+    return int(batch_onset_edge_counts(edge_stream[None], m)[0])
 
 
 def batch_onset_edge_counts(sockets: np.ndarray, m: int) -> np.ndarray:
-    """Lockstep binary-search onset for a batch of edge streams, sockets (R, n_max, l)."""
-    R, n_max, l = sockets.shape
-    full = batch_core_mask(sockets, m).any(axis=1)
-    lo = np.ones(R, dtype=np.int64)
-    hi = np.full(R, n_max, dtype=np.int64)
-    # replicates with no core anywhere are parked at n_max + 1
-    lo[~full] = n_max + 1
-    hi[~full] = n_max + 1
-    edge_idx = np.arange(n_max, dtype=np.int64)
-    while True:
-        active = lo < hi
-        if not active.any():
-            break
-        mid = (lo + hi) // 2
-        probe = np.where(active, mid, 0)
-        init = edge_idx[None, :] < probe[:, None]
-        has = batch_core_mask(sockets, m, init_alive=init).any(axis=1)
-        shrink = active & has
-        grow = active & ~has
-        hi[shrink] = mid[shrink]
-        lo[grow] = mid[grow] + 1
-    return lo
+    """Onset for a batch of edge streams, sockets (R, n_max, l) -> (R,) int64.
+
+    One batch peel gives each stream's full-stream core; a reverse pass
+    (`_reverse_onset`) then deletes edges n_max-1, ..., 0 from it.  Every
+    prefix core is reached because the core is monotone under edge addition
+    and idempotent: Core(t) = core(Core(t+1) minus edge t).  A stream whose
+    full core is empty gets the sentinel n_max + 1.
+    """
+    alive = batch_core_mask(sockets, m)
+    return np.array([_reverse_onset(s.tolist(), a.tolist(), m)
+                     for s, a in zip(sockets, alive)], dtype=np.int64)
+
+
+def _reverse_onset(edges: list, alive: list, m: int) -> int:
+    """Onset of one stream from its full-stream core `alive` (edge mask).
+
+    Walks t = n_max-1, n_max-2, ... while the core is nonempty; deleting live
+    edge t and cascading the peel from it turns Core(t+1) into Core(t).  Each
+    vertex keeps its live degree and the XOR of its live incident edge ids
+    over sockets (with multiplicity), so when its degree drops to 1 the XOR
+    is its last live edge.  An empty full core returns n_max + 1.
+    """
+    deg = [0] * m
+    xor = [0] * m
+    live = 0
+    for e, row in enumerate(edges):
+        if alive[e]:
+            live += 1
+            for a in row:
+                deg[a] += 1
+                xor[a] ^= e
+    t = len(edges)
+    while live:
+        t -= 1
+        if not alive[t]:
+            continue
+        alive[t] = False
+        stack = [t]
+        while stack:
+            e = stack.pop()
+            live -= 1
+            for a in edges[e]:
+                deg[a] -= 1
+                xor[a] ^= e
+                if deg[a] == 1 and alive[xor[a]]:
+                    alive[xor[a]] = False
+                    stack.append(xor[a])
+    return t + 1

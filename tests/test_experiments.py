@@ -131,6 +131,16 @@ def test_worker_count_does_not_change_outputs(tmp_path):
     assert open(p1[1]).read() == open(p2[1]).read()
 
 
+def test_onset_worker_count_does_not_change_csv(tmp_path):
+    blobs = []
+    for workers in (1, 2):
+        cfg = _tiny_cfg("nc", tmp_path / f"w{workers}", reps=48, workers=workers)
+        paths = emit_onset(cfg, run_onset(cfg))
+        blobs.append(open(paths[0], "rb").read())
+    assert blobs[0] == blobs[1]
+    assert blobs[0].count(b"\n") == 49
+
+
 def test_replay_same_seed_identical(tmp_path):
     cfg = _tiny_cfg("core-prob", tmp_path / "o")
     assert run_core_prob(cfg) == run_core_prob(cfg)

@@ -166,6 +166,44 @@ def test_onset_immediate_core():
     assert onset_edge_count(stream, 4) == 1
 
 
+@st.composite
+def _tiny_stream(draw):
+    m = draw(st.integers(min_value=1, max_value=6))
+    l = draw(st.integers(min_value=3, max_value=5))
+    n = draw(st.integers(min_value=0, max_value=12))
+    rows = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=l, max_size=l),
+                         min_size=n, max_size=n))
+    return m, np.array(rows, dtype=np.int64).reshape(n, l)
+
+
+@given(_tiny_stream())
+@settings(max_examples=300, deadline=None)
+def test_onset_matches_brute_force_oracle(case):
+    # few vertices, so repeated vertices inside an edge are common
+    m, stream = case
+    n, l = stream.shape
+    expected = next((t for t in range(1, n + 1) if brute_force_max_stopping_set(
+        Hypergraph(EnsembleParams(l, t, m), stream[:t]))), n + 1)
+    assert onset_edge_count(stream, m) == expected
+
+
+@pytest.mark.parametrize("rows", [([[3, 4, 5]], [[0, 1, 2]]),
+                                  ([[0, 1, 2]], [[-3, -2, -1]])])
+def test_batch_core_mask_rejects_out_of_range_socket(rows):
+    # unchecked, either out-of-range edge aliases onto the other replicate's
+    # edge at m = 3 and the batch reports a 2-edge core that does not exist
+    with pytest.raises(ValueError, match="sockets must lie in"):
+        batch_core_mask(np.array(rows, dtype=np.int64), 3)
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_batch_onset_rejects_out_of_range_socket(bad):
+    streams = np.array([[[0, 1, 2], [0, 1, 2]], [[0, 1, 2], [0, 1, 2]]], dtype=np.int64)
+    streams[0, 1, 0] = bad
+    with pytest.raises(ValueError, match="sockets must lie in"):
+        batch_onset_edge_counts(streams, 4)
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_core_fixpoint_property(seed):
