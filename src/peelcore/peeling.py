@@ -3,8 +3,9 @@ stopping sets, and core-onset detection along incremental edge streams.
 
 The 2-core (every incident vertex covered >= 2 times) is the unique maximum
 stopping set, hence independent of removal order; the sequential peel below is
-the order the profile chain is defined with, while the round-based routines
-exploit order invariance for speed.
+the order the profile chain is defined with, while the batch peel exploits
+order invariance for speed: each step removes, at once, every edge incident to
+a vertex whose degree has just fallen to 1, so it visits only the frontier.
 
 The onset of an edge stream is the first prefix length whose 2-core is
 nonempty.  The core is monotone under edge addition and idempotent, so
@@ -117,27 +118,60 @@ def core_of(H: Hypergraph):
     return core, deg
 
 
-def batch_core_mask(sockets: np.ndarray, m: int, init_alive: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized round-based peel over a batch: sockets (R, n, l) -> alive mask (R, n).
+def batch_core_mask(sockets: np.ndarray, m: int) -> np.ndarray:
+    """Vectorized frontier peel over a batch: sockets (R, n, l) -> alive mask (R, n).
 
-    Each round removes every v-node incident to a degree-1 vertex; the fixpoint is
-    the 2-core of each replicate (optionally restricted to init_alive edge subsets).
+    Replicate r's vertices are offset by r*m, so the block peels as one graph
+    of R*m vertices and R*n edges.  Each vertex keeps its live degree and the
+    XOR of its live incident edge ids over sockets (with multiplicity, the
+    invertible-Bloom-table trick of Goodrich and Mitzenmacher), so a vertex of
+    degree 1 names its last live edge without an incidence table.  A step kills
+    the distinct edges named by the frontier (the vertices whose degree fell
+    to 1 in the previous step), removes their sockets from the degrees and
+    XORs, and takes as the next frontier the touched vertices now of degree 1.
+    After the O(R*(n*l + m)) set-up, work is proportional to the killed
+    sockets plus a fixed cost per step, and a finished replicate costs
+    nothing.  The fixpoint is each replicate's 2-core.
+
     Raises ValueError for a socket outside [0, m), which would otherwise alias
-    into a neighbouring replicate's vertices.
+    into a neighbouring replicate's vertices, and when R*m or R*n*l reaches
+    2**31, past which the int32 vertex and edge ids would wrap.
     """
     R, n, l = sockets.shape
-    if sockets.size and (sockets.min() < 0 or sockets.max() >= m):
-        raise ValueError(f"sockets must lie in [0, {m}), got range "
-                         f"[{sockets.min()}, {sockets.max()}]")
-    alive = np.ones((R, n), dtype=bool) if init_alive is None else init_alive.copy()
-    flat = sockets + (np.arange(R, dtype=sockets.dtype) * m)[:, None, None]
-    while True:
-        deg = np.bincount(flat[alive].ravel(), minlength=R * m)
-        leaf = deg == 1
-        kill = alive & leaf[flat].any(axis=2)
-        if not kill.any():
-            return alive
-        alive &= ~kill
+    if R * m >= 2**31 or R * n * l >= 2**31:
+        raise ValueError(f"R*m = {R * m} and R*n*l = {R * n * l} must stay below "
+                         f"2**31, the range of the int32 vertex and edge ids")
+    if sockets.size == 0:
+        return np.ones((R, n), dtype=bool)
+    lo, hi = sockets.min(), sockets.max()
+    if lo < 0 or hi >= m:
+        raise ValueError(f"sockets must lie in [0, {m}), got range [{lo}, {hi}]")
+    edges = sockets.astype(np.int32)
+    edges += (np.arange(R, dtype=np.int32) * np.int32(m))[:, None, None]
+    edges = edges.reshape(R * n, l)
+    deg = np.bincount(edges.ravel(), minlength=R * m)
+    xor = np.zeros(R * m, dtype=np.int32)
+    ids = np.arange(R * n, dtype=np.int32)
+    for col in edges.T:
+        np.bitwise_xor.at(xor, col, ids)
+    alive = np.ones(R * n, dtype=bool)
+    slot = np.empty(R * n, dtype=np.int32)
+    frontier = np.flatnonzero(deg == 1)
+    while frontier.size:
+        named = xor[frontier]
+        # distinct edges without a sort: one write per name survives in slot,
+        # whichever it is, and exactly that position reads its own index back
+        at = np.arange(named.size, dtype=np.int32)
+        slot[named] = at
+        dead = named[slot[named] == at]
+        alive[dead] = False
+        touched = edges[dead]
+        np.subtract.at(deg, touched.ravel(), 1)
+        for col in touched.T:
+            np.bitwise_xor.at(xor, col, dead)
+        touched = touched.ravel()
+        frontier = touched[deg[touched] == 1]
+    return alive.reshape(R, n)
 
 
 def is_stopping_set(H: Hypergraph, vset) -> bool:

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 from peelcore.ensemble import EnsembleParams, initial_moments_lr
 from peelcore.kernels import p_triple, w_hat
@@ -168,6 +169,18 @@ def test_critical_point_frozen_values():
     d = 1e-7
     h = lambda u: u - 1.0 + math.exp(-gamma_c * u * u)
     assert (h(u2 + d) - h(u2 - d)) / (2 * d) == pytest.approx(0.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("l", [3, 4, 5, 6])
+def test_critical_point_matches_molloy_threshold(l):
+    # third route, sharing no code with the double-root reduction: Molloy's
+    # core threshold c*_l = min_{x>0} x / (l (1 - e^{-x})^{l-1}) edges per
+    # vertex, so rho_c = 1 / c*_l; the minimum value is flat in x, so an x
+    # tolerance of 1e-10 pins it to rounding
+    res = minimize_scalar(lambda x: x / (l * (1.0 - math.exp(-x)) ** (l - 1)),
+                          bounds=(0.1, 10.0), method="bounded", options={"xatol": 1e-10})
+    assert res.success
+    assert abs(1.0 / res.fun - critical_point(EnsembleParams(l, 100, 100))[0]) <= 1e-12
 
 
 def test_critical_point_fast():

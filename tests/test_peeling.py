@@ -1,5 +1,7 @@
 """Peeling, 2-core extraction, stopping sets, and onset detection."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,20 +124,18 @@ def test_batch_core_mask_matches_single():
         assert np.array_equal(np.flatnonzero(masks[i]), core_of(H)[0])
 
 
-def test_batch_core_mask_respects_init_alive():
+def test_batch_core_mask_on_edge_subtables():
     H = _graph(3, 3, [[0, 1, 2], [0, 1, 2], [0, 1, 2]])
     tables = H.sockets[None]
     full = batch_core_mask(tables, 3)
     assert full.sum() == 3
     # restricting to a single edge breaks the cover, core empties
-    init = np.array([[True, False, False]])
-    assert batch_core_mask(tables, 3, init_alive=init).sum() == 0
+    assert batch_core_mask(tables[:, [True, False, False]], 3).sum() == 0
     # two edges still cover each vertex twice
-    init2 = np.array([[True, True, False]])
-    assert batch_core_mask(tables, 3, init_alive=init2).sum() == 2
+    assert batch_core_mask(tables[:, [True, True, False]], 3).sum() == 2
 
 
-def test_onset_binary_search_matches_linear_scan():
+def test_onset_matches_linear_scan():
     m = 40
     rng = np.random.default_rng(3)
     stream = rng.integers(0, m, size=(60, 3))
@@ -214,7 +214,69 @@ def test_core_fixpoint_property(seed):
     core, deg = core_of(H)
     mask = np.zeros(15, dtype=bool)
     mask[core] = True
-    again = batch_core_mask(H.sockets[None], 14, init_alive=mask[None])[0]
-    assert np.array_equal(np.flatnonzero(again), core)
+    again = batch_core_mask(H.sockets[None, mask], 14)[0]
+    assert again.all()
+    assert not batch_core_mask(H.sockets[None, ~mask], 14).any()
     if core.size:
         assert deg[np.unique(H.sockets[core].ravel())].min() >= 2
+
+
+def _round_based_core_mask(sockets, m):
+    """Reference peel: every round removes each edge incident to a degree-1
+    vertex, rescanning all sockets of the batch, until a round removes none."""
+    R, n, l = sockets.shape
+    alive = np.ones((R, n), dtype=bool)
+    flat = sockets + (np.arange(R, dtype=sockets.dtype) * m)[:, None, None]
+    while True:
+        deg = np.bincount(flat[alive].ravel(), minlength=R * m)
+        kill = alive & (deg == 1)[flat].any(axis=2)
+        if not kill.any():
+            return alive
+        alive &= ~kill
+
+
+@st.composite
+def _tiny_batch(draw):
+    # few vertices, so repeated vertices inside an edge are common, and up to
+    # six replicates, so vertex offsets between replicates are exercised
+    l = draw(st.integers(min_value=2, max_value=5))
+    m = draw(st.integers(min_value=1, max_value=8))
+    n = draw(st.integers(min_value=0, max_value=12))
+    R = draw(st.integers(min_value=1, max_value=6))
+    flat = draw(st.lists(st.integers(0, m - 1), min_size=R * n * l, max_size=R * n * l))
+    perm = draw(st.permutations(range(R)))
+    return m, np.array(flat, dtype=np.int64).reshape(R, n, l), np.array(perm, dtype=np.int64)
+
+
+@given(_tiny_batch())
+@settings(max_examples=300, deadline=None)
+def test_batch_core_mask_matches_round_based_and_brute_force(case):
+    m, sockets, perm = case
+    R, n, l = sockets.shape
+    mask = batch_core_mask(sockets, m)
+    assert mask.shape == (R, n) and mask.dtype == bool
+    assert np.array_equal(mask, _round_based_core_mask(sockets, m))
+    for r in range(R):
+        # the brute force reads only params.n, params.m and sockets, while
+        # EnsembleParams rejects the l = 2 and n = 0 drawn here
+        H = SimpleNamespace(params=SimpleNamespace(n=n, m=m), sockets=sockets[r])
+        assert frozenset(np.flatnonzero(mask[r]).tolist()) == brute_force_max_stopping_set(H)
+    assert np.array_equal(batch_core_mask(sockets[perm], m), mask[perm])
+
+
+@pytest.mark.parametrize("shape", [(0, 5, 3), (4, 0, 3), (0, 0, 2)])
+def test_batch_core_mask_empty_shapes(shape):
+    sockets = np.zeros(shape, dtype=np.int64)
+    mask = batch_core_mask(sockets, 4)
+    assert mask.shape == shape[:2] and mask.dtype == bool
+    assert np.array_equal(mask, _round_based_core_mask(sockets, 4))
+
+
+@pytest.mark.parametrize("shape, m", [((2**16, 1, 3), 2**15),       # R*m = 2**31
+                                      ((2**20, 2**10, 2), 4)])      # R*n*l = 2**31
+def test_batch_core_mask_rejects_batches_past_int32_ids(shape, m):
+    # zero strides: the table allocates nothing, so the check must come from
+    # the shape before any pass over the data
+    sockets = np.broadcast_to(np.zeros(1, dtype=np.int64), shape)
+    with pytest.raises(ValueError, match=r"2\*\*31"):
+        batch_core_mask(sockets, m)
