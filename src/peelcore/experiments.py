@@ -152,10 +152,11 @@ def _core_size_block(task):
 
 
 def _onset_block(task):
+    """Onset counts (v-nodes) of one block of edge streams."""
     l, m, seed, point_idx, block_idx, breps = task
     rng = np.random.default_rng([seed, point_idx, block_idx])
     sockets = rng.integers(0, m, size=(breps, m, l))
-    return batch_onset_edge_counts(sockets, m).tolist()
+    return batch_onset_edge_counts(sockets, m)
 
 
 def _map_tasks(worker, tasks, workers: int):
@@ -236,7 +237,7 @@ def run_onset(cfg: ExperimentConfig) -> list:
         tasks = [(cfg.l, m, cfg.seed, p_idx, b, breps)
                  for b, breps in _blocks(cfg.reps, cfg.block)]
         chunks = _map_tasks(_onset_block, tasks, cfg.workers)
-        counts = np.array([c for ch in chunks for c in ch])
+        counts = np.concatenate(chunks)
         std = scaling.standardize_onset(counts.astype(float), m, cc)
         results.append(OnsetResult(m, counts, std))
     return results

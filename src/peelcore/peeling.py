@@ -6,12 +6,17 @@ stopping set, hence independent of removal order; the sequential peel below is
 the order the profile chain is defined with, while the batch peel exploits
 order invariance for speed: each step removes, at once, every edge incident to
 a vertex whose degree has just fallen to 1, so it visits only the frontier.
+Each vertex keeps its live degree and the sum of its live incident edge ids,
+so at degree 1 the sum is the id of its last live edge.
 
 The onset of an edge stream is the first prefix length whose 2-core is
 nonempty.  The core is monotone under edge addition and idempotent, so
 Core(t) = core(Core(t+1) minus edge t) for the prefix cores Core(t): one
 reverse deletion pass from the full-stream core visits every Core(t), and the
-onset is one past the index at which that pass empties the core.
+onset is one past the index at which that pass empties the core.  The reverse
+pass runs on the batch peel's state and frontier step, every stream on its
+own schedule: a stream deletes its next top edge only once its last cascade
+has finished.
 """
 
 from __future__ import annotations
@@ -123,55 +128,73 @@ def batch_core_mask(sockets: np.ndarray, m: int) -> np.ndarray:
 
     Replicate r's vertices are offset by r*m, so the block peels as one graph
     of R*m vertices and R*n edges.  Each vertex keeps its live degree and the
-    XOR of its live incident edge ids over sockets (with multiplicity, the
-    invertible-Bloom-table trick of Goodrich and Mitzenmacher), so a vertex of
-    degree 1 names its last live edge without an incidence table.  A step kills
-    the distinct edges named by the frontier (the vertices whose degree fell
-    to 1 in the previous step), removes their sockets from the degrees and
-    XORs, and takes as the next frontier the touched vertices now of degree 1.
-    After the O(R*(n*l + m)) set-up, work is proportional to the killed
-    sockets plus a fixed cost per step, and a finished replicate costs
-    nothing.  The fixpoint is each replicate's 2-core.
+    sum of its live incident edge ids over sockets (with multiplicity), so a
+    vertex of degree 1 names its last live edge without an incidence table.
+    A step kills the distinct edges named by the frontier (the vertices whose
+    degree fell to 1 in the previous step), subtracts their sockets from the
+    degrees and id-sums, and takes as the next frontier the touched vertices
+    now of degree 1.  After the O(R*(n*l + m)) set-up, work is proportional to
+    the killed sockets plus a fixed cost per step, and a finished replicate
+    costs nothing.  The fixpoint is each replicate's 2-core.
 
     Raises ValueError for a socket outside [0, m), which would otherwise alias
     into a neighbouring replicate's vertices, and when R*m or R*n*l reaches
     2**31, past which the int32 vertex and edge ids would wrap.
     """
-    R, n, l = sockets.shape
-    if R * m >= 2**31 or R * n * l >= 2**31:
-        raise ValueError(f"R*m = {R * m} and R*n*l = {R * n * l} must stay below "
-                         f"2**31, the range of the int32 vertex and edge ids")
-    if sockets.size == 0:
-        return np.ones((R, n), dtype=bool)
-    lo, hi = sockets.min(), sockets.max()
-    if lo < 0 or hi >= m:
-        raise ValueError(f"sockets must lie in [0, {m}), got range [{lo}, {hi}]")
-    edges = sockets.astype(np.int32)
-    edges += (np.arange(R, dtype=np.int32) * np.int32(m))[:, None, None]
-    edges = edges.reshape(R * n, l)
-    deg = np.bincount(edges.ravel(), minlength=R * m)
-    xor = np.zeros(R * m, dtype=np.int32)
-    ids = np.arange(R * n, dtype=np.int32)
-    for col in edges.T:
-        np.bitwise_xor.at(xor, col, ids)
-    alive = np.ones(R * n, dtype=bool)
-    slot = np.empty(R * n, dtype=np.int32)
-    frontier = np.flatnonzero(deg == 1)
-    while frontier.size:
-        named = xor[frontier]
+    peel = _FrontierPeel(sockets, m)
+    return peel.alive.reshape(peel.shape[:2])
+
+
+class _FrontierPeel:
+    """Live degrees and id-sums of a batch peeled to its 2-core, and the
+    frontier step that peels it.
+
+    A vertex's id-sum is the int64 sum of its live incident edge ids, counted
+    with multiplicity, so at degree 1 it is the id of the last live edge.  Ids
+    stay below R*n and degrees below R*n*l, both under 2**31, so a sum stays
+    below 2**62 and cannot overflow.
+    """
+
+    def __init__(self, sockets: np.ndarray, m: int):
+        R, n, l = self.shape = sockets.shape
+        if R * m >= 2**31 or R * n * l >= 2**31:
+            raise ValueError(f"R*m = {R * m} and R*n*l = {R * n * l} must stay below "
+                             f"2**31, the range of the int32 vertex and edge ids")
+        if sockets.size:
+            lo, hi = sockets.min(), sockets.max()
+            if lo < 0 or hi >= m:
+                raise ValueError(f"sockets must lie in [0, {m}), got range [{lo}, {hi}]")
+        edges = sockets.astype(np.int32)
+        edges += (np.arange(R, dtype=np.int32) * np.int32(m))[:, None, None]
+        self.edges = edges.reshape(R * n, l)
+        self.deg = np.bincount(self.edges.ravel(), minlength=R * m)
+        self.idsum = np.zeros(R * m, dtype=np.int64)
+        ids = np.arange(R * n, dtype=np.int64)
+        for col in self.edges.T:
+            np.add.at(self.idsum, col, ids)
+        self.alive = np.ones(R * n, dtype=bool)
+        self._slot = np.empty(R * n, dtype=np.int32)
+        frontier = np.flatnonzero(self.deg == 1)
+        while frontier.size:
+            frontier, _ = self.step(frontier)
+
+    def step(self, frontier: np.ndarray, extra=None):
+        """Kill the distinct edges named by the frontier's id-sums, plus the
+        live edges `extra` that no frontier vertex names; return the next
+        frontier (touched vertices now of degree 1) and the killed edge ids."""
+        named = self.idsum[frontier]
         # distinct edges without a sort: one write per name survives in slot,
         # whichever it is, and exactly that position reads its own index back
         at = np.arange(named.size, dtype=np.int32)
-        slot[named] = at
-        dead = named[slot[named] == at]
-        alive[dead] = False
-        touched = edges[dead]
-        np.subtract.at(deg, touched.ravel(), 1)
-        for col in touched.T:
-            np.bitwise_xor.at(xor, col, dead)
-        touched = touched.ravel()
-        frontier = touched[deg[touched] == 1]
-    return alive.reshape(R, n)
+        self._slot[named] = at
+        dead = named[self._slot[named] == at]
+        if extra is not None:
+            dead = np.concatenate((dead, extra))
+        self.alive[dead] = False
+        touched = self.edges[dead].ravel()
+        np.subtract.at(self.deg, touched, 1)
+        np.subtract.at(self.idsum, touched, np.repeat(dead, self.shape[2]))
+        return touched[self.deg[touched] == 1], dead
 
 
 def is_stopping_set(H: Hypergraph, vset) -> bool:
@@ -223,49 +246,26 @@ def onset_edge_count(edge_stream: np.ndarray, m: int) -> int:
 def batch_onset_edge_counts(sockets: np.ndarray, m: int) -> np.ndarray:
     """Onset for a batch of edge streams, sockets (R, n_max, l) -> (R,) int64.
 
-    One batch peel gives each stream's full-stream core; a reverse pass
-    (`_reverse_onset`) then deletes edges n_max-1, ..., 0 from it.  Every
-    prefix core is reached because the core is monotone under edge addition
-    and idempotent: Core(t) = core(Core(t+1) minus edge t).  A stream whose
-    full core is empty gets the sentinel n_max + 1.
+    One frontier peel gives each stream's full-stream core, and the reverse
+    pass runs on the same state and step.  Within a step, a stream with
+    frontier vertices pending keeps cascading, and one with none moves its top
+    pointer down by one and deletes that edge if it is live.  When a stream's
+    live-edge count reaches 0, its onset is one past its top pointer, the last
+    edge it deleted that way.  A stream whose full core is empty gets the
+    sentinel n_max + 1.
     """
-    alive = batch_core_mask(sockets, m)
-    return np.array([_reverse_onset(s.tolist(), a.tolist(), m)
-                     for s, a in zip(sockets, alive)], dtype=np.int64)
-
-
-def _reverse_onset(edges: list, alive: list, m: int) -> int:
-    """Onset of one stream from its full-stream core `alive` (edge mask).
-
-    Walks t = n_max-1, n_max-2, ... while the core is nonempty; deleting live
-    edge t and cascading the peel from it turns Core(t+1) into Core(t).  Each
-    vertex keeps its live degree and the XOR of its live incident edge ids
-    over sockets (with multiplicity), so when its degree drops to 1 the XOR
-    is its last live edge.  An empty full core returns n_max + 1.
-    """
-    deg = [0] * m
-    xor = [0] * m
-    live = 0
-    for e, row in enumerate(edges):
-        if alive[e]:
-            live += 1
-            for a in row:
-                deg[a] += 1
-                xor[a] ^= e
-    t = len(edges)
-    while live:
-        t -= 1
-        if not alive[t]:
-            continue
-        alive[t] = False
-        stack = [t]
-        while stack:
-            e = stack.pop()
-            live -= 1
-            for a in edges[e]:
-                deg[a] -= 1
-                xor[a] ^= e
-                if deg[a] == 1 and alive[xor[a]]:
-                    alive[xor[a]] = False
-                    stack.append(xor[a])
-    return t + 1
+    peel = _FrontierPeel(sockets, m)
+    R, n, _ = peel.shape
+    live = peel.alive.reshape(R, n).sum(axis=1)
+    top = np.full(R, n, dtype=np.int64)
+    frontier = np.empty(0, dtype=np.int32)
+    while True:
+        busy = np.zeros(R, dtype=bool)
+        busy[frontier // m] = True
+        walk = np.flatnonzero((live > 0) & ~busy)
+        if not (walk.size or frontier.size):
+            return top + 1
+        top[walk] -= 1
+        cand = walk * n + top[walk]
+        frontier, dead = peel.step(frontier, cand[peel.alive[cand]])
+        live -= np.bincount(dead // n, minlength=R)

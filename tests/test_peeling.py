@@ -270,6 +270,10 @@ def test_batch_core_mask_empty_shapes(shape):
     mask = batch_core_mask(sockets, 4)
     assert mask.shape == shape[:2] and mask.dtype == bool
     assert np.array_equal(mask, _round_based_core_mask(sockets, 4))
+    # no stream has a core, so each gets the sentinel n_max + 1
+    counts = batch_onset_edge_counts(sockets, 4)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, np.full(shape[0], shape[1] + 1))
 
 
 @pytest.mark.parametrize("shape, m", [((2**16, 1, 3), 2**15),       # R*m = 2**31
@@ -280,3 +284,79 @@ def test_batch_core_mask_rejects_batches_past_int32_ids(shape, m):
     sockets = np.broadcast_to(np.zeros(1, dtype=np.int64), shape)
     with pytest.raises(ValueError, match=r"2\*\*31"):
         batch_core_mask(sockets, m)
+
+
+def _reverse_onset(edges: list, alive: list, m: int) -> int:
+    """Reference onset of one stream from its full-stream core `alive`: a
+    pure-Python reverse pass that deletes edges n_max-1, n_max-2, ... and runs
+    each cascade to its end, with per-vertex degrees and XORs of live ids."""
+    deg = [0] * m
+    xor = [0] * m
+    live = 0
+    for e, row in enumerate(edges):
+        if alive[e]:
+            live += 1
+            for a in row:
+                deg[a] += 1
+                xor[a] ^= e
+    t = len(edges)
+    while live:
+        t -= 1
+        if not alive[t]:
+            continue
+        alive[t] = False
+        stack = [t]
+        while stack:
+            e = stack.pop()
+            live -= 1
+            for a in edges[e]:
+                deg[a] -= 1
+                xor[a] ^= e
+                if deg[a] == 1 and alive[xor[a]]:
+                    alive[xor[a]] = False
+                    stack.append(xor[a])
+    return t + 1
+
+
+@st.composite
+def _tiny_stream_batch(draw):
+    # streams of one batch advance on their own schedules, so a batch mixes
+    # streams with nonempty full cores and streams built to have none
+    l = draw(st.integers(min_value=2, max_value=5))
+    m = draw(st.integers(min_value=1, max_value=8))
+    n = draw(st.integers(min_value=0, max_value=14))
+    R = draw(st.integers(min_value=1, max_value=6))
+    streams = []
+    for _ in range(R):
+        if n < m and draw(st.booleans()):
+            # edge i holds vertex pv[i] once and its other sockets in pv[i+1:],
+            # so the edges peel in the order 0, 1, ...: the full core is empty
+            pv = draw(st.permutations(range(m)))
+            rows = [[pv[i]] + draw(st.lists(st.sampled_from(pv[i + 1:]),
+                                            min_size=l - 1, max_size=l - 1))
+                    for i in range(n)]
+            rows = draw(st.permutations(rows))
+        else:
+            rows = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=l, max_size=l),
+                                 min_size=n, max_size=n))
+        streams.append(rows)
+    perm = draw(st.permutations(range(R)))
+    return m, np.array(streams, dtype=np.int64).reshape(R, n, l), np.array(perm, dtype=np.int64)
+
+
+@given(_tiny_stream_batch())
+@settings(max_examples=300, deadline=None)
+def test_batch_onset_matches_reverse_walk_and_brute_force(case):
+    m, streams, perm = case
+    R, n, l = streams.shape
+    counts = batch_onset_edge_counts(streams, m)
+    assert counts.shape == (R,) and counts.dtype == np.int64
+    alive = batch_core_mask(streams, m)
+    for r in range(R):
+        assert counts[r] == _reverse_onset(streams[r].tolist(), alive[r].tolist(), m)
+        # the brute force reads only params.n, params.m and sockets
+        expected = next((t for t in range(1, n + 1) if brute_force_max_stopping_set(
+            SimpleNamespace(params=SimpleNamespace(n=t, m=m), sockets=streams[r, :t]))),
+            n + 1)
+        assert counts[r] == expected
+    assert np.array_equal(batch_onset_edge_counts(streams[perm], m), counts[perm])
