@@ -1,4 +1,4 @@
-"""peelcore: peeling experiments on random l-regular hypergraphs, with the
+"""peelcore: peeling experiments on random l-uniform hypergraphs, with the
 exact finite transition law, the fluid/diffusion limits, and the finite-size
 scaling predictions they imply.
 """

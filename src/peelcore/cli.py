@@ -56,7 +56,7 @@ def _build_config(args, experiment: str) -> ExperimentConfig:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="peelcore",
-        description="Peeling experiments on random l-regular hypergraphs "
+        description="Peeling experiments on random l-uniform hypergraphs "
                     "against their analytic scaling law.")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -15,7 +15,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -39,9 +39,6 @@ __all__ = [
     "load_config_file",
     "CSV_HEADER",
 ]
-
-CSV_HEADER = "l,m,n,rho,r,r_tilde1,r_tilde2,p_hat,se,ci_lo,ci_hi,prediction,reps,seed"
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -87,10 +84,10 @@ class ExperimentRecord:
     seed: int
 
     def csv_row(self) -> str:
-        vals = [self.l, self.m, self.n, self.rho, self.r, self.r_tilde1,
-                self.r_tilde2, self.p_hat, self.se, self.ci_lo, self.ci_hi,
-                self.prediction, self.reps, self.seed]
-        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in vals)
+        return ",".join(_fmt(v) for v in astuple(self))
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ExperimentRecord))
 
 
 @functools.lru_cache(maxsize=4)
@@ -143,42 +140,50 @@ def _blocks(reps: int, block: int):
     return out
 
 
-def _core_size_block(task):
-    """Core sizes (v-nodes) of one block of sampled graphs."""
-    l, n, m, seed, point_idx, block_idx, breps = task
-    rng = np.random.default_rng([seed, point_idx, block_idx])
-    sockets = rng.integers(0, m, size=(breps, n, l))
+def _core_sizes(sockets, m):
+    """Core sizes (v-nodes) of a batch of socket tables."""
     return batch_core_mask(sockets, m).sum(axis=1)
 
 
-def _onset_block(task):
-    """Onset counts (v-nodes) of one block of edge streams."""
-    l, m, seed, point_idx, block_idx, breps = task
-    rng = np.random.default_rng([seed, point_idx, block_idx])
-    sockets = rng.integers(0, m, size=(breps, m, l))
-    return batch_onset_edge_counts(sockets, m)
+def _block(task):
+    """stat(sockets, m) of one block of (breps, n, l) sampled socket tables."""
+    stat, l, n, m, seed, p_idx, b_idx, breps = task
+    rng = np.random.default_rng([seed, p_idx, b_idx])
+    return stat(rng.integers(0, m, size=(breps, n, l)), m)
 
 
-def _map_tasks(worker, tasks, workers: int):
+def _sample_points(stat, l: int, points, reps: int, seed: int, block: int,
+                   workers: int) -> list:
+    """stat over reps sampled graphs at each (n, m) point, one array per point.
+
+    Every (point, block) task goes through one task map, so a run opens at
+    most one process pool.
+    """
+    bl = _blocks(reps, block)
+    tasks = [(stat, l, n, m, seed, p_idx, b_idx, breps)
+             for p_idx, (n, m) in enumerate(points) for b_idx, breps in bl]
     if workers <= 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(worker, tasks))
+        chunks = [_block(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            chunks = list(ex.map(_block, tasks))
+    k = len(bl)
+    return [np.concatenate(chunks[i:i + k]) for i in range(0, len(chunks), k)]
 
 
 # --- experiment drivers ---
 
 
 def _core_prob_points(cfg: ExperimentConfig, rho_c: float):
-    """Grid points as (m, n) pairs, from either the r grid or the rho grid."""
+    """Grid points as (n, m) pairs, from either the r grid or the rho grid."""
     pts = []
     for m in cfg.m_list:
         if cfg.rho_list:
             for rho in cfg.rho_list:
-                pts.append((m, max(int(round(m / rho)), 1)))
+                pts.append((max(int(round(m / rho)), 1), m))
         else:
             for r in cfg.r_list:
-                pts.append((m, _n_for_r(r, m, rho_c)))
+                pts.append((_n_for_r(r, m, rho_c), m))
     return pts
 
 
@@ -186,22 +191,13 @@ def run_core_prob(cfg: ExperimentConfig) -> list:
     """Survival frequency at every grid point, with prediction and CI."""
     cc = get_constants(cfg.l)
     pts = _core_prob_points(cfg, cc.rho_c)
-    tasks = []
-    spans = []
-    for p_idx, (m, n) in enumerate(pts):
-        bl = _blocks(cfg.reps, cfg.block)
-        spans.append(len(bl))
-        for b_idx, breps in bl:
-            tasks.append((cfg.l, n, m, cfg.seed, p_idx, b_idx, breps))
-    results = _map_tasks(_core_size_block, tasks, cfg.workers)
+    sizes = _sample_points(_core_sizes, cfg.l, pts, cfg.reps, cfg.seed,
+                           cfg.block, cfg.workers)
     records = []
-    at = 0
-    for p_idx, (m, n) in enumerate(pts):
-        hits = sum(int((s > 0).sum()) for s in results[at:at + spans[p_idx]])
-        at += spans[p_idx]
+    for (n, m), s in zip(pts, sizes):
         rho = m / n
         pred = scaling.predict_core_prob(n, rho, cc)
-        p_hat = hits / cfg.reps
+        p_hat = int((s > 0).sum()) / cfg.reps
         se, lo, hi = _wilson_or_normal(p_hat, cfg.reps)
         records.append(ExperimentRecord(
             cfg.l, m, n, rho, pred.r, pred.r_tilde1, pred.r_tilde2,
@@ -214,8 +210,7 @@ def small_core_fraction(l: int, n: int, m: int, reps: int, seed: int,
                         block: int = 500):
     """(fraction of replicates with a nonempty core below threshold*m v-nodes,
     fraction nonempty)."""
-    tasks = [(l, n, m, seed, 0, b, breps) for b, breps in _blocks(reps, block)]
-    sizes = np.concatenate(_map_tasks(_core_size_block, tasks, workers))
+    sizes, = _sample_points(_core_sizes, l, [(n, m)], reps, seed, block, workers)
     nonempty = int((sizes > 0).sum())
     small = int(((sizes > 0) & (sizes < threshold * m)).sum())
     return small / reps, nonempty / reps
@@ -232,15 +227,11 @@ def run_onset(cfg: ExperimentConfig) -> list:
     """Sampled onset counts for each m: the first v-node count at which the
     growing graph acquires a nonempty core."""
     cc = get_constants(cfg.l)
-    results = []
-    for p_idx, m in enumerate(cfg.m_list):
-        tasks = [(cfg.l, m, cfg.seed, p_idx, b, breps)
-                 for b, breps in _blocks(cfg.reps, cfg.block)]
-        chunks = _map_tasks(_onset_block, tasks, cfg.workers)
-        counts = np.concatenate(chunks)
-        std = scaling.standardize_onset(counts.astype(float), m, cc)
-        results.append(OnsetResult(m, counts, std))
-    return results
+    counts = _sample_points(batch_onset_edge_counts, cfg.l,
+                            [(m, m) for m in cfg.m_list],
+                            cfg.reps, cfg.seed, cfg.block, cfg.workers)
+    return [OnsetResult(m, c, scaling.standardize_onset(c.astype(float), m, cc))
+            for m, c in zip(cfg.m_list, counts)]
 
 
 @dataclass(frozen=True)
@@ -255,16 +246,14 @@ class CoreSizeResult:
 def run_core_size(cfg: ExperimentConfig) -> list:
     """Core sizes at the window center rho = rho_c for each n in n_list."""
     cc = get_constants(cfg.l)
+    pts = [(n, max(int(round(n * cc.rho_c)), 1)) for n in cfg.n_list]
+    all_sizes = _sample_points(_core_sizes, cfg.l, pts, cfg.reps, cfg.seed,
+                               cfg.block, cfg.workers)
     results = []
-    for p_idx, n in enumerate(cfg.n_list):
-        m = max(int(round(n * cc.rho_c)), 1)
-        tasks = [(cfg.l, n, m, cfg.seed, p_idx, b, breps)
-                 for b, breps in _blocks(cfg.reps, cfg.block)]
-        chunks = _map_tasks(_core_size_block, tasks, cfg.workers)
-        all_sizes = np.concatenate(chunks)
-        sizes = all_sizes[all_sizes > 0]
+    for (n, m), drawn in zip(pts, all_sizes):
+        sizes = drawn[drawn > 0]
         std = scaling.standardize_core_size(sizes.astype(float), n, cc)
-        results.append(CoreSizeResult(n, m, sizes, int((all_sizes == 0).sum()), std))
+        results.append(CoreSizeResult(n, m, sizes, int((drawn == 0).sum()), std))
     return results
 
 

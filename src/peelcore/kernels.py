@@ -356,16 +356,9 @@ def _w_exact_arrays(z1: int, z2: int, tau: int, params: EnsembleParams):
     return inc, p
 
 
-def simulate_chain(params: EnsembleParams, rng: np.random.Generator,
-                   kernel: str = "exact") -> ChainRecord:
-    """Iterate the chosen kernel from a sampled initial profile.
-
-    The exact kernel absorbs at z1 = 0; the approximate kernel is applied to the
-    projected rescaled state at every step, which is the chain the fluid limit
-    describes.
-    """
-    if kernel not in ("exact", "approximate"):
-        raise ValueError(f"unknown kernel {kernel!r}")
+def simulate_chain(params: EnsembleParams, rng: np.random.Generator) -> ChainRecord:
+    """Iterate the exact kernel from a sampled initial profile; the chain
+    absorbs at z1 = 0."""
     n = params.n
     prof = degree_profile(sample_uniform(params, rng))
     z = np.array([prof.z1, prof.z2], dtype=np.int64)
@@ -374,14 +367,10 @@ def simulate_chain(params: EnsembleParams, rng: np.random.Generator,
     stop = n if z[0] > 0 else 0
     min_z1 = int(z[0])
     for tau in range(n):
-        if kernel == "exact":
-            if z[0] == 0:
-                profiles[tau + 1] = z
-                continue
-            inc, p = _w_exact_arrays(int(z[0]), int(z[1]), tau, params)
-        else:
-            x = project_feasible(z / n, tau / n, params)
-            inc, p = w_hat(x, tau / n, params).arrays()
+        if z[0] == 0:
+            profiles[tau + 1] = z
+            continue
+        inc, p = _w_exact_arrays(int(z[0]), int(z[1]), tau, params)
         j = rng.choice(len(p), p=p / p.sum())
         z = z + inc[j]
         profiles[tau + 1] = z

@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import bisect, brentq
 
-from .ensemble import EnsembleParams
+from .ensemble import EnsembleParams, initial_moments_lr
 from .kernels import (
     f1_prime,
     p_triple,
@@ -190,13 +190,7 @@ def _critical_point_l(l: int):
     lo, hi = 0.05, 1.0 - 1e-9
     if not (g(lo) > 0.0 > g(hi)):
         raise RuntimeError("double-root bracket failed")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    u2 = 0.5 * (lo + hi)
+    u2 = bisect(g, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
     gamma_c = u2 ** (2 - l) / ((l - 1) * (1.0 - u2))
     rho_c = l / gamma_c
     theta_c = 1.0 - u2 ** l
@@ -235,6 +229,26 @@ def _check_inside(y, theta, l, rho):
         raise RuntimeError(f"degree budget violated at theta = {theta}: {y}")
 
 
+def _rk4(rhs, state, theta_end: float, h: float, l: int, rho: float):
+    """Classical RK4 for d state/d theta = rhs(state, theta) on [0, theta_end];
+    the mean (state[:2]) must stay inside the feasible slab after every step.
+    Returns the grid and the (N, len(state)) states on it."""
+    thetas = _grid(theta_end, h)
+    out = np.empty((len(thetas), len(state)))
+    out[0] = state
+    for k in range(1, len(thetas)):
+        th0 = thetas[k - 1]
+        hh = thetas[k] - th0
+        k1 = rhs(state, th0)
+        k2 = rhs(state + 0.5 * hh * k1, th0 + 0.5 * hh)
+        k3 = rhs(state + 0.5 * hh * k2, th0 + 0.5 * hh)
+        k4 = rhs(state + hh * k3, th0 + hh)
+        state = state + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        _check_inside(state[:2], thetas[k], l, rho)
+        out[k] = state
+    return np.array(thetas), out
+
+
 def solve_y(rho: float, params: EnsembleParams, h: float = 1e-4,
             eps: float = 0.05, theta_end: float | None = None) -> OdeSolution:
     """Classical RK4 for the mean ODE on [0, theta_end] (default 1 - eps).
@@ -246,27 +260,12 @@ def solve_y(rho: float, params: EnsembleParams, h: float = 1e-4,
         raise ValueError("step too coarse; need h <= 1e-3")
     l = params.l
     theta_end = 1.0 - eps if theta_end is None else theta_end
-    g = l / rho
-    eg = math.exp(-g)
-    y = np.array([l * eg, rho * (1.0 - eg) - l * eg])
 
     def F(x, th):
         return rhs_F(project_feasible(x, th, params), th, params)
 
-    thetas = _grid(theta_end, h)
-    ys = np.empty((len(thetas), 2))
-    ys[0] = y
-    for k in range(1, len(thetas)):
-        th0 = thetas[k - 1]
-        hh = thetas[k] - th0
-        k1 = F(y, th0)
-        k2 = F(y + 0.5 * hh * k1, th0 + 0.5 * hh)
-        k3 = F(y + 0.5 * hh * k2, th0 + 0.5 * hh)
-        k4 = F(y + hh * k3, th0 + hh)
-        y = y + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_inside(y, thetas[k], l, rho)
-        ys[k] = y
-    return OdeSolution(rho, l, np.array(thetas), ys, None, eps)
+    thetas, ys = _rk4(F, initial_moments_lr(l, rho)[0], theta_end, h, l, rho)
+    return OdeSolution(rho, l, thetas, ys, None, eps)
 
 
 _KINK_TOL = 1e-8
@@ -298,8 +297,6 @@ def solve_Q(rho: float, params: EnsembleParams, h: float = 1e-4,
     """
     if h > 1e-3:
         raise ValueError("step too coarse; need h <= 1e-3")
-    from .ensemble import initial_moments_lr
-
     l = params.l
     theta_end = 1.0 - eps if theta_end is None else theta_end
     y0, Q0 = initial_moments_lr(l, rho)
@@ -316,19 +313,7 @@ def solve_Q(rho: float, params: EnsembleParams, h: float = 1e-4,
         return np.array([Fv[0], Fv[1], dQ[0, 0], dQ[0, 1], dQ[1, 1]])
 
     state = np.array([y0[0], y0[1], Q0[0, 0], Q0[0, 1], Q0[1, 1]])
-    thetas = _grid(theta_end, h)
-    out = np.empty((len(thetas), 5))
-    out[0] = state
-    for k in range(1, len(thetas)):
-        th0 = thetas[k - 1]
-        hh = thetas[k] - th0
-        k1 = rhs(state, th0)
-        k2 = rhs(state + 0.5 * hh * k1, th0 + 0.5 * hh)
-        k3 = rhs(state + 0.5 * hh * k2, th0 + 0.5 * hh)
-        k4 = rhs(state + hh * k3, th0 + hh)
-        state = state + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_inside(state[:2], thetas[k], l, rho)
-        out[k] = state
+    thetas, out = _rk4(rhs, state, theta_end, h, l, rho)
     Qs = np.empty((len(thetas), 2, 2))
     Qs[:, 0, 0] = out[:, 2]
     Qs[:, 0, 1] = out[:, 3]
@@ -337,7 +322,7 @@ def solve_Q(rho: float, params: EnsembleParams, h: float = 1e-4,
     dets = Qs[:, 0, 0] * Qs[:, 1, 1] - Qs[:, 0, 1] ** 2
     if (Qs[:, 0, 0] <= 0).any() or (dets <= 0).any():
         raise RuntimeError("covariance lost positive definiteness on the grid")
-    return OdeSolution(rho, l, np.array(thetas), out[:, :2], Qs, eps)
+    return OdeSolution(rho, l, thetas, out[:, :2], Qs, eps)
 
 
 # --- constants at the critical point ---

@@ -131,14 +131,38 @@ def test_worker_count_does_not_change_outputs(tmp_path):
     assert open(p1[1]).read() == open(p2[1]).read()
 
 
-def test_onset_worker_count_does_not_change_csv(tmp_path):
+@pytest.mark.parametrize("experiment,run,emit", [
+    ("nc", run_onset, emit_onset),
+    ("core-size", run_core_size, emit_core_size),
+], ids=["nc", "core-size"])
+def test_onset_worker_count_does_not_change_csv(tmp_path, experiment, run, emit):
+    # two grid points, and a block (16) that leaves a short last block of 13
     blobs = []
     for workers in (1, 2):
-        cfg = _tiny_cfg("nc", tmp_path / f"w{workers}", reps=48, workers=workers)
-        paths = emit_onset(cfg, run_onset(cfg))
+        cfg = _tiny_cfg(experiment, tmp_path / f"w{workers}", m_list=(40, 60),
+                        n_list=(60, 90), reps=45, workers=workers)
+        paths = emit(cfg, run(cfg))
         blobs.append(open(paths[0], "rb").read())
     assert blobs[0] == blobs[1]
-    assert blobs[0].count(b"\n") == 49
+    if experiment == "nc":
+        assert blobs[0].count(b"\n") == 1 + 2 * 45
+
+
+@pytest.mark.parametrize("experiment,run", [
+    ("nc", run_onset), ("core-size", run_core_size)], ids=["nc", "core-size"])
+def test_run_opens_one_process_pool(tmp_path, monkeypatch, experiment, run):
+    opened = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    cfg = _tiny_cfg(experiment, tmp_path, m_list=(40, 50, 60),
+                    n_list=(60, 70, 90), reps=20, block=8, workers=2)
+    assert len(run(cfg)) == 3
+    assert opened == [2]
 
 
 def test_replay_same_seed_identical(tmp_path):

@@ -316,7 +316,7 @@ def test_exact_chain_matches_graph_peel():
     mid_chain = np.empty(reps)
     mid_graph = np.empty(reps)
     for i in range(reps):
-        rec = simulate_chain(params, rng, kernel="exact")
+        rec = simulate_chain(params, rng)
         stops_chain[i] = rec.stop_time
         mid_chain[i] = rec.profiles[5, 0]
         traj = peel(sample_uniform(params, rng), rng)
