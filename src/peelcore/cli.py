@@ -38,6 +38,9 @@ def _add_common(sp):
 
 def _build_config(args, experiment: str) -> ExperimentConfig:
     file_vals = experiments.load_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file_vals) - {f.name for f in _config_fields()})
+    if unknown:
+        raise ValueError(f"config file {args.config}: unknown keys {unknown}")
     vals = {}
     for field in _config_fields():
         name = field.name

@@ -106,8 +106,11 @@ def degree_profile(H: Hypergraph) -> DegreeProfile:
     return DegreeProfile(H.params.m - z1 - z2, z1, z2)
 
 
-def sample_profiles(params: EnsembleParams, reps: int, rng: np.random.Generator,
-                    chunk: int = 512) -> np.ndarray:
+_PROFILE_CHUNK = 512    # multinomial degree draws per vectorized pass
+
+
+def sample_profiles(params: EnsembleParams, reps: int,
+                    rng: np.random.Generator) -> np.ndarray:
     """(reps, 2) array of initial (z1, z2) draws, without materializing graphs.
 
     The profile depends on the socket table only through the vertex degree counts,
@@ -117,7 +120,7 @@ def sample_profiles(params: EnsembleParams, reps: int, rng: np.random.Generator,
     pvals = np.full(params.m, 1.0 / params.m)
     done = 0
     while done < reps:
-        b = min(chunk, reps - done)
+        b = min(_PROFILE_CHUNK, reps - done)
         counts = rng.multinomial(params.n * params.l, pvals, size=b)
         out[done:done + b, 0] = (counts == 1).sum(axis=1)
         out[done:done + b, 1] = (counts >= 2).sum(axis=1)
@@ -176,16 +179,13 @@ def _log_multinomial(total: int, parts) -> float:
 
 
 def log_ensemble_count(profile, tau: int, params: EnsembleParams) -> float:
-    """log of the number of ensemble elements that reach profile z at peeling step tau.
+    """log of the number of ensemble elements that reach z = (z1, z2) at step tau.
 
     The count is C(m; z1, z2, z0) * C(n, tau) * ((n-tau)l)! *
     coeff[(e^x - 1 - x)^z2, x^((n-tau)l - z1)]; -inf signals an empty class
     (infeasible profile), not an error.
     """
-    if isinstance(profile, DegreeProfile):
-        z1, z2 = profile.z1, profile.z2
-    else:
-        z1, z2 = int(profile[0]), int(profile[1])
+    z1, z2 = int(profile[0]), int(profile[1])
     n, m, l = params.n, params.m, params.l
     z0 = m - z1 - z2
     if z1 < 0 or z2 < 0 or z0 < 0 or not (0 <= tau <= n):

@@ -58,6 +58,10 @@ class ExperimentConfig:
         for name in ("reps", "block", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("m_list", "n_list", "rho_list"):
+            grid = getattr(self, name)
+            if not all(v > 0 for v in grid):
+                raise ValueError(f"{name} entries must be > 0, got {grid}")
         if self.experiment in ("core-prob", "nc") and not self.m_list:
             raise ValueError(f"{self.experiment} needs a nonempty m_list")
         if self.experiment == "core-prob" and not (self.r_list or self.rho_list):
@@ -127,17 +131,12 @@ def _wilson_or_normal(p_hat: float, reps: int):
 
 
 def _blocks(reps: int, block: int):
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
-    out = []
-    done = 0
-    b = 0
-    while done < reps:
-        take = min(block, reps - done)
-        out.append((b, take))
-        done += take
-        b += 1
-    return out
+    return [(b, min(block, reps - start))
+            for b, start in enumerate(range(0, reps, block))]
 
 
 def _core_sizes(sockets, m):
@@ -271,66 +270,59 @@ def _require_results(results: list):
 
 def emit_core_prob(cfg: ExperimentConfig, records: list) -> list:
     _require_results(records)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    csv_path = os.path.join(cfg.out_dir, "core_prob.csv")
-    with open(csv_path, "w", newline="") as f:
-        f.write(CSV_HEADER + "\n")
-        for rec in records:
-            f.write(rec.csv_row() + "\n")
-    svg_path = os.path.join(cfg.out_dir, "core_prob.svg")
-    _svg_core_prob(svg_path, records)
-    man_path = _write_manifest(cfg, [csv_path, svg_path],
-                               {"points": len(records)})
-    return [csv_path, svg_path, man_path]
+    return _emit(cfg, "core_prob", CSV_HEADER, (rec.csv_row() for rec in records),
+                 _svg_core_prob(records), {"points": len(records)})
 
 
 def emit_onset(cfg: ExperimentConfig, results: list) -> list:
     _require_results(results)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    csv_path = os.path.join(cfg.out_dir, "onset.csv")
-    with open(csv_path, "w", newline="") as f:
-        f.write("m,replicate,n_c,z\n")
-        for res in results:
-            for i, (c, z) in enumerate(zip(res.counts, res.standardized)):
-                f.write(f"{res.m},{i},{c},{_fmt(float(z))}\n")
-    svg_path = os.path.join(cfg.out_dir, "onset.svg")
-    _svg_histogram(svg_path, results[-1].standardized,
-                   scaling.std_normal_pdf, "standardized onset",
-                   f"onset law, m={results[-1].m}")
-    man_path = _write_manifest(cfg, [csv_path, svg_path],
-                               {"m_list": list(int(r.m) for r in results)})
-    return [csv_path, svg_path, man_path]
+    rows = (f"{res.m},{i},{c},{_fmt(float(z))}" for res in results
+            for i, (c, z) in enumerate(zip(res.counts, res.standardized)))
+    svg = _svg_histogram(results[-1].standardized, scaling.std_normal_pdf,
+                         "standardized onset", f"onset law, m={results[-1].m}")
+    return _emit(cfg, "onset", "m,replicate,n_c,z", rows, svg,
+                 {"m_list": list(int(r.m) for r in results)})
 
 
 def emit_core_size(cfg: ExperimentConfig, results: list) -> list:
     _require_results(results)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     cc = get_constants(cfg.l)
-    csv_path = os.path.join(cfg.out_dir, "core_size.csv")
-    with open(csv_path, "w", newline="") as f:
-        f.write("n,m,replicate,core_size,z\n")
-        for res in results:
-            for i, (s, z) in enumerate(zip(res.sizes, res.standardized)):
-                f.write(f"{res.n},{res.m},{i},{s},{_fmt(float(z))}\n")
-    svg_path = os.path.join(cfg.out_dir, "core_size.svg")
+    rows = (f"{res.n},{res.m},{i},{s},{_fmt(float(z))}" for res in results
+            for i, (s, z) in enumerate(zip(res.sizes, res.standardized)))
     last = results[-1]
-    _svg_histogram(svg_path, last.standardized[last.standardized > 0],
-                   lambda z: scaling.core_size_density(z, 0.0, cc),
-                   "standardized core size", f"core size law, n={last.n}")
-    man_path = _write_manifest(cfg, [csv_path, svg_path],
-                               {"n_list": list(int(r.n) for r in results),
-                                "empty": {str(r.n): r.n_empty for r in results}})
-    return [csv_path, svg_path, man_path]
+    svg = _svg_histogram(last.standardized[last.standardized > 0],
+                         lambda z: scaling.core_size_density(z, 0.0, cc),
+                         "standardized core size", f"core size law, n={last.n}")
+    return _emit(cfg, "core_size", "n,m,replicate,core_size,z", rows, svg,
+                 {"n_list": list(int(r.n) for r in results),
+                  "empty": {str(r.n): r.n_empty for r in results}})
+
+
+def _emit(cfg: ExperimentConfig, stem: str, header: str, rows, svg: str,
+          extra: dict) -> list:
+    """Write <stem>.csv (header, then one line per row), <stem>.svg and the
+    manifest under cfg.out_dir; return their three paths."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    csv_path = os.path.join(cfg.out_dir, stem + ".csv")
+    with open(csv_path, "w", newline="") as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(row + "\n")
+    svg_path = os.path.join(cfg.out_dir, stem + ".svg")
+    with open(svg_path, "w") as f:
+        f.write(svg)
+    return [csv_path, svg_path, _write_manifest(cfg, [csv_path, svg_path], extra)]
+
+
+# experiment has its own manifest key; workers and out_dir do not change the outputs
+_NOT_IN_MANIFEST = ("experiment", "workers", "out_dir")
 
 
 def _write_manifest(cfg: ExperimentConfig, files: list, extra: dict) -> str:
     man = {
         "experiment": cfg.experiment,
-        "config": {
-            "l": cfg.l, "m_list": list(cfg.m_list), "r_list": list(cfg.r_list),
-            "rho_list": list(cfg.rho_list), "n_list": list(cfg.n_list),
-            "reps": cfg.reps, "seed": cfg.seed, "block": cfg.block,
-        },
+        "config": {f.name: getattr(cfg, f.name) for f in fields(cfg)
+                   if f.name not in _NOT_IN_MANIFEST},
         "files": [os.path.basename(p) for p in files],
         **extra,
     }
@@ -446,7 +438,7 @@ def _polyline(fr: _Frame, xs, ys, color: str, dash: str = "") -> str:
     return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{extra}/>'
 
 
-def _svg_core_prob(path: str, records: list):
+def _svg_core_prob(records: list) -> str:
     """Survival frequency vs the shifted window coordinate, one series per m,
     with the Gaussian limit curve underneath."""
     by_m = {}
@@ -472,11 +464,10 @@ def _svg_core_prob(path: str, records: list):
         parts.append(f'<text x="{_W - _MR - 6}" y="{_MT + 16 + 14 * i}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="11" fill="{col}">m={m}</text>')
     parts.append("</svg>")
-    with open(path, "w") as f:
-        f.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
-def _svg_histogram(path: str, samples: np.ndarray, density, xlabel: str, title: str):
+def _svg_histogram(samples: np.ndarray, density, xlabel: str, title: str) -> str:
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         samples = np.zeros(1)
@@ -500,5 +491,4 @@ def _svg_histogram(path: str, samples: np.ndarray, density, xlabel: str, title: 
                      f'stroke-width="0.5"/>')
     parts.append(_polyline(fr, grid, dens, "#c23b22"))
     parts.append("</svg>")
-    with open(path, "w") as f:
-        f.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

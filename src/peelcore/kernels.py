@@ -288,17 +288,14 @@ def _coeff_mixed(n_em1mx: int, n_em1: int, deg: int) -> Fraction:
 
 
 def w_exact(profile, tau: int, params: EnsembleParams) -> KernelDistribution:
-    """Exact one-step kernel at profile z and step tau.
+    """Exact one-step kernel at profile z = (z1, z2) and step tau.
 
     Identity kernel when z1 = 0; otherwise a sum over the transition counts
     (d_p0, d_q0, d_q1, d_q2) with 2 d_p0 + d_q0 + d_q1 + d_q2 <= l, each term a
     ratio of ensemble counts (log space) times exact small combinatorics.
     Terms are nonnegative and the result sums to 1 without renormalization.
     """
-    if hasattr(profile, "z1"):
-        z1, z2 = profile.z1, profile.z2
-    else:
-        z1, z2 = int(profile[0]), int(profile[1])
+    z1, z2 = int(profile[0]), int(profile[1])
     if z1 == 0:
         return KernelDistribution({(0, 0): 1.0})
     n, m, l = params.n, params.m, params.l
@@ -383,20 +380,19 @@ def simulate_chain(params: EnsembleParams, rng: np.random.Generator) -> ChainRec
 # --- conditional-ensemble sampler (empirical oracle for the exact kernel) ---
 
 
+_STEP_CHUNK = 20000     # conditioned draws per vectorized pass
+
+
 def sample_conditional_steps(profile, tau: int, params: EnsembleParams,
-                             reps: int, rng: np.random.Generator,
-                             chunk: int = 20000) -> np.ndarray:
-    """(reps, 2) empirical increments: sample the ensemble conditioned on profile z
+                             reps: int, rng: np.random.Generator) -> np.ndarray:
+    """(reps, 2) empirical increments: sample the ensemble conditioned on z = (z1, z2)
     at step tau uniformly, apply one peel step to each draw.
 
     Degrees of the degree->=2 class are drawn by inverting the counting DP one
     vertex at a time; sockets are matched by a uniform shuffle.  Both stages are
     exchangeable over vertex labels, so fixing the class layout is harmless.
     """
-    if hasattr(profile, "z1"):
-        z1, z2 = profile.z1, profile.z2
-    else:
-        z1, z2 = int(profile[0]), int(profile[1])
+    z1, z2 = int(profile[0]), int(profile[1])
     if z1 <= 0:
         raise ValueError("conditional stepping needs z1 >= 1")
     n, m, l = params.n, params.m, params.l
@@ -409,7 +405,7 @@ def sample_conditional_steps(profile, tau: int, params: EnsembleParams,
     out = np.empty((reps, 2), dtype=np.int64)
     done = 0
     while done < reps:
-        R = min(chunk, reps - done)
+        R = min(_STEP_CHUNK, reps - done)
         # stage 1: degree vector for the z2 class, sequential DP inversion
         degs = np.zeros((R, max(z2, 1)), dtype=np.int64)
         s_rem = np.full(R, s_deg2, dtype=np.int64)
@@ -477,14 +473,12 @@ def default_state_grid(l: int = 3, rho: float = 1.2218):
     return grid
 
 
-def kernel_max_discrepancy(n: int, rho: float, l: int = 3, grid=None) -> float:
-    """D(n): max entrywise |w_exact - w_hat| over the fixed state grid, with the
-    profile z = round(n x) and step tau = round(n theta) at m = round(n rho)."""
-    if grid is None:
-        grid = default_state_grid(l, rho)
+def kernel_max_discrepancy(n: int, rho: float, l: int = 3) -> float:
+    """D(n): max entrywise |w_exact - w_hat| over default_state_grid(l, rho), with
+    the profile z = round(n x) and step tau = round(n theta) at m = round(n rho)."""
     params = EnsembleParams(l, n, int(round(n * rho)))
     worst = 0.0
-    for x1, x2, theta in grid:
+    for x1, x2, theta in default_state_grid(l, rho):
         tau = int(round(n * theta))
         z1, z2 = int(round(n * x1)), int(round(n * x2))
         exact = w_exact((z1, z2), tau, params)

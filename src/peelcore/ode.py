@@ -10,7 +10,7 @@ with E = exp(-gamma u^(l-1)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -48,7 +48,6 @@ class OdeSolution:
     thetas: np.ndarray
     ys: np.ndarray              # (N, 2)
     Qs: np.ndarray | None       # (N, 2, 2) or None for mean-only solves
-    eps: float
 
 
 @dataclass(frozen=True)
@@ -69,12 +68,7 @@ class CriticalConstants:
         return replace(self, omega=omega, delta=self.alpha * self.beta * omega)
 
     def as_dict(self) -> dict:
-        return {
-            "rho_c": self.rho_c, "theta_c": self.theta_c, "u2": self.u2,
-            "F_tilde": self.F_tilde, "G_tilde": self.G_tilde, "Q11c": self.Q11c,
-            "dy1_drho": self.dy1_drho, "alpha": self.alpha, "beta": self.beta,
-            "omega": self.omega, "delta": self.delta,
-        }
+        return asdict(self)
 
 
 def rhs_F(x, theta: float, params: EnsembleParams) -> np.ndarray:
@@ -233,6 +227,10 @@ def _rk4(rhs, state, theta_end: float, h: float, l: int, rho: float):
     """Classical RK4 for d state/d theta = rhs(state, theta) on [0, theta_end];
     the mean (state[:2]) must stay inside the feasible slab after every step.
     Returns the grid and the (N, len(state)) states on it."""
+    if not 0.0 < h <= 1e-3:
+        raise ValueError(f"step must satisfy 0 < h <= 1e-3, got {h}")
+    if not 0.0 < theta_end < 1.0:
+        raise ValueError(f"need 0 < theta_end < 1, got {theta_end}")
     thetas = _grid(theta_end, h)
     out = np.empty((len(thetas), len(state)))
     out[0] = state
@@ -250,22 +248,19 @@ def _rk4(rhs, state, theta_end: float, h: float, l: int, rho: float):
 
 
 def solve_y(rho: float, params: EnsembleParams, h: float = 1e-4,
-            eps: float = 0.05, theta_end: float | None = None) -> OdeSolution:
-    """Classical RK4 for the mean ODE on [0, theta_end] (default 1 - eps).
+            theta_end: float = 0.95) -> OdeSolution:
+    """Classical RK4 for the mean ODE on [0, theta_end].
 
     Stage inputs are projected onto the feasible triangle before evaluating the
     drift; the recorded state itself is not projected.
     """
-    if h > 1e-3:
-        raise ValueError("step too coarse; need h <= 1e-3")
     l = params.l
-    theta_end = 1.0 - eps if theta_end is None else theta_end
 
     def F(x, th):
         return rhs_F(project_feasible(x, th, params), th, params)
 
     thetas, ys = _rk4(F, initial_moments_lr(l, rho)[0], theta_end, h, l, rho)
-    return OdeSolution(rho, l, thetas, ys, None, eps)
+    return OdeSolution(rho, l, thetas, ys, None)
 
 
 _KINK_TOL = 1e-8
@@ -289,16 +284,13 @@ def _A_any(x, theta: float, params: EnsembleParams) -> np.ndarray:
 
 
 def solve_Q(rho: float, params: EnsembleParams, h: float = 1e-4,
-            eps: float = 0.05, theta_end: float | None = None) -> OdeSolution:
+            theta_end: float = 0.95) -> OdeSolution:
     """RK4 for the joint (mean, covariance) system dQ = G + A Q + Q A^T.
 
     Q is stored symmetric by construction; positive definiteness is verified on
     the whole grid afterwards.
     """
-    if h > 1e-3:
-        raise ValueError("step too coarse; need h <= 1e-3")
     l = params.l
-    theta_end = 1.0 - eps if theta_end is None else theta_end
     y0, Q0 = initial_moments_lr(l, rho)
 
     def rhs(state, th):
@@ -322,7 +314,7 @@ def solve_Q(rho: float, params: EnsembleParams, h: float = 1e-4,
     dets = Qs[:, 0, 0] * Qs[:, 1, 1] - Qs[:, 0, 1] ** 2
     if (Qs[:, 0, 0] <= 0).any() or (dets <= 0).any():
         raise RuntimeError("covariance lost positive definiteness on the grid")
-    return OdeSolution(rho, l, thetas, out[:, :2], Qs, eps)
+    return OdeSolution(rho, l, thetas, out[:, :2], Qs)
 
 
 # --- constants at the critical point ---

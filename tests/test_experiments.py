@@ -1,5 +1,6 @@
 """Experiment drivers: determinism, output formats, config handling, CLI."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -108,6 +109,9 @@ def test_manifest_content(tmp_path):
     assert man["config"]["seed"] == 9
     assert man["files"] == ["core_prob.csv", "core_prob.svg"]
     assert man["points"] == 2
+    # every config field that changes the outputs, and no other
+    kept = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(man["config"]) == kept - {"experiment", "workers", "out_dir"}
     # no clock anywhere: emitted content is a pure function of the config
     assert "time" not in json.dumps(man).lower()
 
@@ -127,8 +131,8 @@ def test_worker_count_does_not_change_outputs(tmp_path):
     assert recs1 == recs2
     p1 = emit_core_prob(_tiny_cfg("core-prob", tmp_path / "a", reps=48), recs1)
     p2 = emit_core_prob(_tiny_cfg("core-prob", tmp_path / "b", reps=48, workers=2), recs2)
-    assert open(p1[0]).read() == open(p2[0]).read()
-    assert open(p1[1]).read() == open(p2[1]).read()
+    for a, b in zip(p1, p2):
+        assert open(a, "rb").read() == open(b, "rb").read()
 
 
 @pytest.mark.parametrize("experiment,run,emit", [
@@ -228,6 +232,9 @@ def test_small_core_fraction_run():
     ("nc", {"m_list": ()}),
     ("core-prob", {"r_list": (), "rho_list": ()}),
     ("core-size", {"n_list": ()}),
+    ("nc", {"m_list": (40, 0)}),
+    ("core-size", {"n_list": (-60,)}),
+    ("core-prob", {"rho_list": (1.2, -1.2)}),
 ])
 def test_config_rejects_bad_driver_inputs(tmp_path, experiment, bad):
     with pytest.raises(ValueError):
@@ -247,6 +254,11 @@ def test_blocks_rejects_nonpositive_block():
             _blocks(5, block)
     with pytest.raises(ValueError):
         small_core_fraction(3, 80, 98, reps=10, seed=4, block=0)
+
+
+def test_small_core_fraction_rejects_zero_reps():
+    with pytest.raises(ValueError, match="reps"):
+        small_core_fraction(3, 80, 98, reps=0, seed=4)
 
 
 # --- config file and CLI ---
@@ -282,6 +294,13 @@ def test_cli_config_precedence(tmp_path, monkeypatch):
     monkeypatch.delenv("PEELCORE_SEED")
     built3 = cli._build_config(ns, "core-prob")
     assert built3.seed == ExperimentConfig().seed
+
+
+def test_cli_config_rejects_unknown_keys(tmp_path):
+    cfgfile = tmp_path / "typo.cfg"
+    cfgfile.write_text("rep = 7\nseeds = 3\nblock = 3\n")
+    with pytest.raises(ValueError, match=r"\['rep', 'seeds'\]"):
+        cli.main(["core-prob", "--config", str(cfgfile), "--out-dir", str(tmp_path)])
 
 
 def test_cli_core_prob_in_process(tmp_path, capsys):

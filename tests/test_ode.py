@@ -193,10 +193,12 @@ def test_critical_point_fast():
 
 
 def test_solver_validation():
-    with pytest.raises(ValueError):
-        solve_y(1.2, P3, h=5e-3)
-    with pytest.raises(ValueError):
-        solve_Q(1.2, P3, h=5e-3)
+    bad = [{"h": 5e-3}, {"h": 0.0}, {"h": -1e-4},
+           {"theta_end": 0.0}, {"theta_end": -0.1}, {"theta_end": 1.0}]
+    for solver in (solve_y, solve_Q):
+        for kw in bad:
+            with pytest.raises(ValueError):
+                solver(1.2, P3, **kw)
 
 
 def test_solver_matches_closed_form():
