@@ -25,7 +25,6 @@ __all__ = [
     "log_ensemble_count",
     "log_coeff_rows",
     "initial_moments",
-    "initial_moments_lr",
 ]
 
 
@@ -204,17 +203,15 @@ def log_ensemble_count(profile, tau: int, params: EnsembleParams) -> float:
     return float(out)
 
 
-def initial_moments(params: EnsembleParams):
-    """Mean fractions y(0) and profile covariance-rate Q(0) of (z1, z2)/n at tau = 0.
+def initial_moments(l: int, rho: float):
+    """Mean fractions y(0) and profile covariance-rate Q(0) of (z1, z2)/n at tau = 0,
+    for edge size l >= 3 and density rho = m/n > 0.
 
-    Closed forms in gamma = l*n/m; Q(0) is the n->infinity covariance of
+    Closed forms in gamma = l/rho; Q(0) is the n->infinity covariance of
     (z1, z2)/sqrt(n) and is positive definite for gamma > 0.
     """
-    return initial_moments_lr(params.l, params.rho)
-
-
-def initial_moments_lr(l: int, rho: float):
-    """initial_moments for a real-valued density rho (no integer sizes needed)."""
+    if l < 3 or not rho > 0.0:
+        raise ValueError(f"need l >= 3 and rho > 0, got l={l}, rho={rho}")
     g = l / rho
     eg = math.exp(-g)
     y0 = np.array([l * eg, rho * (1.0 - eg) - l * eg])

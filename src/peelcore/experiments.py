@@ -20,9 +20,8 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from . import scaling
-from .ensemble import EnsembleParams
 from .ode import CriticalConstants, critical_constants
-from .peeling import batch_core_mask, batch_onset_edge_counts
+from .peeling import batch_core_mask, batch_onset_edge_counts, check_id_range
 
 __all__ = [
     "ExperimentConfig",
@@ -55,9 +54,9 @@ class ExperimentConfig:
     block: int = 500
 
     def __post_init__(self):
-        for name in ("reps", "block", "workers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, low in (("l", 3), ("reps", 1), ("block", 1), ("workers", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("m_list", "n_list", "rho_list"):
             grid = getattr(self, name)
             if not all(v > 0 for v in grid):
@@ -97,8 +96,7 @@ CSV_HEADER = ",".join(f.name for f in fields(ExperimentRecord))
 @functools.lru_cache(maxsize=4)
 def get_constants(l: int, with_omega: bool = True) -> CriticalConstants:
     """Critical constants for degree l, with the minimum-law mean attached."""
-    params = EnsembleParams(l=l, n=100, m=100)
-    cc = critical_constants(params)
+    cc = critical_constants(l)
     if with_omega:
         from .airy import omega_integral
         cc = cc.with_omega(omega_integral())
@@ -159,6 +157,8 @@ def _sample_points(stat, l: int, points, reps: int, seed: int, block: int,
     most one process pool.
     """
     bl = _blocks(reps, block)
+    for n, m in points:     # each point's largest block, before any is drawn
+        check_id_range(min(block, reps), n, l, m)
     tasks = [(stat, l, n, m, seed, p_idx, b_idx, breps)
              for p_idx, (n, m) in enumerate(points) for b_idx, breps in bl]
     if workers <= 1:

@@ -153,11 +153,11 @@ def solve_lambda(xi: float) -> float:
 # --- feasible set and probability triple ---
 
 
-def project_feasible(x, theta: float, params: EnsembleParams):
+def project_feasible(x, theta: float, l: int):
     """Euclidean projection onto {x1 >= 0, x2 >= 0, x1 + 2 x2 <= l(1 - theta)}."""
     if not 0.0 <= theta < 1.0:
         raise ValueError(f"theta must be in [0, 1), got {theta}")
-    L = params.l * (1.0 - theta)
+    L = l * (1.0 - theta)
     x1, x2 = float(x[0]), float(x[1])
     if x1 >= 0.0 and x2 >= 0.0 and x1 + 2.0 * x2 <= L:
         return np.array([x1, x2])
@@ -189,7 +189,7 @@ class ProbTriple:
             raise ValueError(f"probabilities sum to {s}, not 1")
 
 
-def p_triple(x, theta: float, params: EnsembleParams) -> ProbTriple:
+def p_triple(x, theta: float, l: int) -> ProbTriple:
     """Class probabilities at state x = (x1, x2) and time theta.
 
     p0 = max(x1, 0)/L with L = l(1 - theta); lam solves f1(lam) = (L - max(x1,0))/x2;
@@ -198,7 +198,7 @@ def p_triple(x, theta: float, params: EnsembleParams) -> ProbTriple:
     """
     if theta >= 1.0:
         raise ValueError("theta must be < 1")
-    L = params.l * (1.0 - theta)
+    L = l * (1.0 - theta)
     x1 = max(float(x[0]), 0.0)
     x2 = float(x[1])
     if x2 < 0.0:
@@ -254,7 +254,7 @@ class KernelDistribution:
 def w_hat(x, theta: float, params: EnsembleParams) -> KernelDistribution:
     """Large-n kernel: (a0, a1, a2) multinomial(l - 1; p0, p1, p2) mapped to the
     increment (a1 - a0 - 1, -a1)."""
-    p = p_triple(x, theta, params)
+    p = p_triple(x, theta, params.l)
     lm1 = params.l - 1
     out = {}
     for a0 in range(lm1 + 1):

@@ -16,14 +16,14 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import bisect, brentq
 
-from .ensemble import EnsembleParams, initial_moments_lr
+from .ensemble import initial_moments
 from .kernels import (
+    ProbTriple,
     f1_prime,
     p_triple,
     project_feasible,
     psi_eval,
     psi_prime,
-    solve_lambda,
 )
 
 __all__ = [
@@ -71,28 +71,30 @@ class CriticalConstants:
         return asdict(self)
 
 
-def rhs_F(x, theta: float, params: EnsembleParams) -> np.ndarray:
-    """Drift of the rescaled profile: the mean increment of the one-step kernel."""
-    p = p_triple(x, theta, params)
-    lm1 = params.l - 1
+def rhs_F(p: ProbTriple, l: int) -> np.ndarray:
+    """Drift of the rescaled profile: the mean increment of the kernel at triple p."""
+    lm1 = l - 1
     return np.array([-1.0 + lm1 * (p.p1 - p.p0), -lm1 * p.p1])
 
 
-def noise_G(x, theta: float, params: EnsembleParams) -> np.ndarray:
+def noise_G(p: ProbTriple, l: int) -> np.ndarray:
     """Covariance of the one-step increment; nonnegative definite by construction."""
-    p = p_triple(x, theta, params)
-    lm1 = params.l - 1
+    lm1 = l - 1
     g11 = lm1 * (p.p0 + p.p1 - (p.p0 - p.p1) ** 2)
     g12 = -lm1 * (p.p0 * p.p1 + p.p1 * (1.0 - p.p1))
     g22 = lm1 * p.p1 * (1.0 - p.p1)
     return np.array([[g11, g12], [g12, g22]])
 
 
-def _p1_partials(x1: float, x2: float, theta: float, l: int):
-    """(dp1/dx1, dp1/dx2, dp1/dtheta) for x1 >= 0, x2 > 0, via implicit
-    differentiation of x2 f1(lam) = l(1 - theta) - x1."""
+def _p1_partials(p: ProbTriple, x2: float, theta: float, l: int):
+    """(dp1/dx1, dp1/dx2, dp1/dtheta) at the state behind p, for x1 >= 0 and
+    x2 > 0, via implicit differentiation of x2 f1(lam) = l(1 - theta) - x1."""
+    if x2 <= 0.0:
+        raise ValueError(f"the tilt partials need x2 > 0, got {x2}")
+    lam = p.lam
+    if lam == math.inf:     # p_triple's x2 -> 0 limit: p1 = 0, and so are its partials
+        return 0.0, 0.0, 0.0
     L = l * (1.0 - theta)
-    lam = solve_lambda((L - x1) / x2)
     f1p = f1_prime(lam)
     psi = psi_eval(lam)
     psip = psi_prime(lam)
@@ -102,30 +104,27 @@ def _p1_partials(x1: float, x2: float, theta: float, l: int):
     return dp1_dx1, dp1_dx2, dp1_dth
 
 
-def jacobian_A(x, theta: float, params: EnsembleParams) -> np.ndarray:
-    """Jacobian of the drift in x, on the differentiable region x1 > 0, x2 > 0."""
-    x1, x2 = float(x[0]), float(x[1])
-    if x1 <= 0.0:
-        raise ValueError("jacobian_A needs x1 > 0 (drift has a kink at x1 = 0)")
-    if x2 <= 0.0:
-        raise ValueError("jacobian_A needs x2 > 0")
-    l = params.l
-    L = l * (1.0 - theta)
-    dp1_dx1, dp1_dx2, _ = _p1_partials(x1, x2, theta, l)
+def _jacobian(p: ProbTriple, x2: float, theta: float, l: int) -> np.ndarray:
+    dp1_dx1, dp1_dx2, _ = _p1_partials(p, x2, theta, l)
     lm1 = l - 1
     return np.array([
-        [lm1 * (dp1_dx1 - 1.0 / L), lm1 * dp1_dx2],
+        [lm1 * (dp1_dx1 - 1.0 / (l * (1.0 - theta))), lm1 * dp1_dx2],
         [-lm1 * dp1_dx1, -lm1 * dp1_dx2],
     ])
 
 
-def _dF1_dtheta(x, theta: float, params: EnsembleParams) -> float:
+def jacobian_A(x, theta: float, l: int) -> np.ndarray:
+    """Jacobian of the drift in x, on the differentiable region x1 > 0, x2 > 0."""
+    if float(x[0]) <= 0.0:
+        raise ValueError("jacobian_A needs x1 > 0 (drift has a kink at x1 = 0)")
+    return _jacobian(p_triple(x, theta, l), float(x[1]), theta, l)
+
+
+def _dF1_dtheta(x, theta: float, l: int) -> float:
     """Partial of the first drift component in theta at fixed x (x1 clamped at 0+)."""
-    l = params.l
     x1 = max(float(x[0]), 0.0)
-    x2 = float(x[1])
     L = l * (1.0 - theta)
-    _, _, dp1_dth = _p1_partials(x1, x2, theta, l)
+    _, _, dp1_dth = _p1_partials(p_triple(x, theta, l), float(x[1]), theta, l)
     dp0_dth = l * x1 / (L * L)
     return (l - 1) * (dp1_dth - dp0_dth)
 
@@ -144,19 +143,19 @@ def _y_formula(theta: float, rho: float, l: int) -> np.ndarray:
     return np.array([y1, y2])
 
 
-def y_closed(theta: float, rho: float, params: EnsembleParams) -> np.ndarray:
+def y_closed(theta: float, rho: float, l: int) -> np.ndarray:
     """Closed-form mean trajectory; only valid up to theta_minus(rho)."""
-    tmin = theta_minus(rho, params)
+    tmin = theta_minus(rho, l)
     if theta > tmin + 1e-12:
         raise ValueError(f"theta = {theta} beyond validity bound theta_- = {tmin}")
-    return _y_formula(theta, rho, params.l)
+    return _y_formula(theta, rho, l)
 
 
 def _h_rho(u: float, rho: float, l: int) -> float:
     return u - 1.0 + math.exp(-(l / rho) * u ** (l - 1))
 
 
-def theta_minus(rho: float, params: EnsembleParams) -> float:
+def theta_minus(rho: float, l: int) -> float:
     """Largest theta with h_rho(u(theta)) >= 0 on the way from theta = 0; 1.0 when
     h_rho never crosses (rho >= rho_c, or so close below that h_rho rounds to
     >= 0 at theta_c).
@@ -165,8 +164,7 @@ def theta_minus(rho: float, params: EnsembleParams) -> float:
     -log(1 - u)/u^(l-1) = l/rho, and that ratio increases on [u2, 1], so the
     crossing is the one root of h_rho(u(theta)) on [0, theta_c].
     """
-    l = params.l
-    rho_c, theta_c, _ = critical_point(params)
+    rho_c, theta_c, _ = critical_point(l)
 
     def h(theta):
         return _h_rho((1.0 - theta) ** (1.0 / l), rho, l)
@@ -177,7 +175,12 @@ def theta_minus(rho: float, params: EnsembleParams) -> float:
 
 
 @lru_cache(maxsize=8)
-def _critical_point_l(l: int):
+def critical_point(l: int):
+    """(rho_c, theta_c, u2): the density where the trajectory minimum develops a
+    tangential zero, by reducing the double-root system to one equation in u."""
+    if l < 3:
+        raise ValueError(f"edge size l must be >= 3, got {l}")
+
     def g(u):
         return u - 1.0 + math.exp(-u / ((l - 1) * (1.0 - u)))
 
@@ -194,12 +197,6 @@ def _critical_point_l(l: int):
     if hvals.min() < -1e-10:
         raise RuntimeError(f"h_rho_c dips to {hvals.min()}; critical point unreliable")
     return rho_c, theta_c, u2
-
-
-def critical_point(params: EnsembleParams):
-    """(rho_c, theta_c, u2): the density where the trajectory minimum develops a
-    tangential zero, by reducing the double-root system to one equation in u."""
-    return _critical_point_l(params.l)
 
 
 # --- integration ---
@@ -247,19 +244,17 @@ def _rk4(rhs, state, theta_end: float, h: float, l: int, rho: float):
     return np.array(thetas), out
 
 
-def solve_y(rho: float, params: EnsembleParams, h: float = 1e-4,
+def solve_y(rho: float, l: int, h: float = 1e-4,
             theta_end: float = 0.95) -> OdeSolution:
     """Classical RK4 for the mean ODE on [0, theta_end].
 
     Stage inputs are projected onto the feasible triangle before evaluating the
     drift; the recorded state itself is not projected.
     """
-    l = params.l
-
     def F(x, th):
-        return rhs_F(project_feasible(x, th, params), th, params)
+        return rhs_F(p_triple(project_feasible(x, th, l), th, l), l)
 
-    thetas, ys = _rk4(F, initial_moments_lr(l, rho)[0], theta_end, h, l, rho)
+    thetas, ys = _rk4(F, initial_moments(l, rho)[0], theta_end, h, l, rho)
     return OdeSolution(rho, l, thetas, ys, None)
 
 
@@ -267,50 +262,46 @@ _KINK_TOL = 1e-8
 _FD_STEP = 1e-6
 
 
-def _A_any(x, theta: float, params: EnsembleParams) -> np.ndarray:
-    """Drift Jacobian, falling back to one-sided differences beside the x1 kink."""
+def _A_any(x, p: ProbTriple, theta: float, l: int) -> np.ndarray:
+    """Drift Jacobian at x from its triple p; one-sided differences beside the x1 kink."""
     x1, x2 = float(x[0]), float(x[1])
     if x1 > _KINK_TOL:
-        return jacobian_A(x, theta, params)
+        return _jacobian(p, x2, theta, l)
     x1c = max(x1, 0.0)
     d = _FD_STEP
 
     def F(a, b):
-        return rhs_F(np.array([a, b]), theta, params)
+        return rhs_F(p_triple(np.array([a, b]), theta, l), l)
 
     col0 = (-3.0 * F(x1c, x2) + 4.0 * F(x1c + d, x2) - F(x1c + 2 * d, x2)) / (2.0 * d)
     col1 = (F(x1c, x2 + d) - F(x1c, x2 - d)) / (2.0 * d)
     return np.column_stack([col0, col1])
 
 
-def solve_Q(rho: float, params: EnsembleParams, h: float = 1e-4,
+def solve_Q(rho: float, l: int, h: float = 1e-4,
             theta_end: float = 0.95) -> OdeSolution:
     """RK4 for the joint (mean, covariance) system dQ = G + A Q + Q A^T.
 
-    Q is stored symmetric by construction; positive definiteness is verified on
-    the whole grid afterwards.
+    Each stage solves the tilt once, at the projected state, and takes F, G and
+    A from that triple.  Q is stored symmetric by construction; positive
+    definiteness is verified on the whole grid afterwards.
     """
-    l = params.l
-    y0, Q0 = initial_moments_lr(l, rho)
+    y0, Q0 = initial_moments(l, rho)
 
     def rhs(state, th):
-        y = state[:2]
         Q = np.array([[state[2], state[3]], [state[3], state[4]]])
-        x = project_feasible(y, th, params)
-        Fv = rhs_F(x, th, params)
-        A = _A_any(x, th, params)
-        G = noise_G(x, th, params)
+        x = project_feasible(state[:2], th, l)
+        p = p_triple(x, th, l)
+        Fv = rhs_F(p, l)
+        A = _A_any(x, p, th, l)
+        G = noise_G(p, l)
         M = A @ Q
         dQ = G + M + M.T
         return np.array([Fv[0], Fv[1], dQ[0, 0], dQ[0, 1], dQ[1, 1]])
 
     state = np.array([y0[0], y0[1], Q0[0, 0], Q0[0, 1], Q0[1, 1]])
     thetas, out = _rk4(rhs, state, theta_end, h, l, rho)
-    Qs = np.empty((len(thetas), 2, 2))
-    Qs[:, 0, 0] = out[:, 2]
-    Qs[:, 0, 1] = out[:, 3]
-    Qs[:, 1, 0] = out[:, 3]
-    Qs[:, 1, 1] = out[:, 4]
+    Qs = out[:, [2, 3, 3, 4]].reshape(-1, 2, 2)     # (Q11, Q12, Q22) -> symmetric Q
     dets = Qs[:, 0, 0] * Qs[:, 1, 1] - Qs[:, 0, 1] ** 2
     if (Qs[:, 0, 0] <= 0).any() or (dets <= 0).any():
         raise RuntimeError("covariance lost positive definiteness on the grid")
@@ -336,22 +327,22 @@ def _y1_second_derivative_closed(u: float, gamma: float, l: int) -> float:
     return phi_pp * up * up + phi_p * upp
 
 
-def critical_constants(params: EnsembleParams, h: float = 1e-4) -> CriticalConstants:
+def critical_constants(l: int, h: float = 1e-4) -> CriticalConstants:
     """All scalar constants of the scaling law at (rho_c, theta_c).
 
     The curvature F~ and the density sensitivity dy1/drho are each computed by
     two independent routes that must agree to 1e-6 relative, else this raises.
     """
-    l = params.l
-    rho_c, theta_c, u2 = critical_point(params)
+    rho_c, theta_c, u2 = critical_point(l)
     gamma_c = l / rho_c
 
     F1 = _y1_second_derivative_closed(u2, gamma_c, l)
     yc = _y_formula(theta_c, rho_c, l)
     xc = np.array([max(yc[0], 0.0), yc[1]])
-    dF1_dx2 = (l - 1) * _p1_partials(xc[0], xc[1], theta_c, l)[1]
-    F2c = rhs_F(xc, theta_c, params)[1]
-    F2 = _dF1_dtheta(xc, theta_c, params) + dF1_dx2 * F2c
+    pc = p_triple(xc, theta_c, l)
+    dF1_dx2 = (l - 1) * _p1_partials(pc, xc[1], theta_c, l)[1]
+    F2c = rhs_F(pc, l)[1]
+    F2 = _dF1_dtheta(xc, theta_c, l) + dF1_dx2 * F2c
     if abs(F1 - F2) > 1e-6 * abs(F1):
         raise RuntimeError(f"curvature routes disagree: {F1} vs {F2}")
     F_tilde = F1
@@ -364,8 +355,8 @@ def critical_constants(params: EnsembleParams, h: float = 1e-4) -> CriticalConst
         raise RuntimeError(f"density-sensitivity routes disagree: {d1} vs {d2}")
     dy1_drho = d1
 
-    G_tilde = float(noise_G(xc, theta_c, params)[0, 0])
-    sol = solve_Q(rho_c, params, h=h, theta_end=theta_c)
+    G_tilde = float(noise_G(pc, l)[0, 0])
+    sol = solve_Q(rho_c, l, h=h, theta_end=theta_c)
     Q11c = float(sol.Qs[-1][0, 0])
     alpha = math.sqrt(Q11c) / dy1_drho
     beta = G_tilde ** (2.0 / 3.0) * F_tilde ** (-1.0 / 3.0) / math.sqrt(Q11c)

@@ -25,13 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleParams, Hypergraph
+from .ensemble import Hypergraph
 
 __all__ = [
     "PeelTrajectory",
     "peel",
     "core_of",
     "batch_core_mask",
+    "check_id_range",
     "is_stopping_set",
     "brute_force_max_stopping_set",
     "onset_edge_count",
@@ -145,6 +146,15 @@ def batch_core_mask(sockets: np.ndarray, m: int) -> np.ndarray:
     return peel.alive.reshape(peel.shape[:2])
 
 
+def check_id_range(R: int, n: int, l: int, m: int):
+    """Raise ValueError when a batch of R graphs of n edges of size l over m
+    vertices has R*m or R*n*l at 2**31, past which the batch peel's int32
+    vertex and edge ids would wrap."""
+    if R * m >= 2**31 or R * n * l >= 2**31:
+        raise ValueError(f"R*m = {R * m} and R*n*l = {R * n * l} must stay below "
+                         f"2**31, the range of the int32 vertex and edge ids")
+
+
 class _FrontierPeel:
     """Live degrees and id-sums of a batch peeled to its 2-core, and the
     frontier step that peels it.
@@ -157,9 +167,7 @@ class _FrontierPeel:
 
     def __init__(self, sockets: np.ndarray, m: int):
         R, n, l = self.shape = sockets.shape
-        if R * m >= 2**31 or R * n * l >= 2**31:
-            raise ValueError(f"R*m = {R * m} and R*n*l = {R * n * l} must stay below "
-                             f"2**31, the range of the int32 vertex and edge ids")
+        check_id_range(R, n, l, m)
         if sockets.size:
             lo, hi = sockets.min(), sockets.max()
             if lo < 0 or hi >= m:

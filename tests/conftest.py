@@ -7,20 +7,13 @@ end-to-end check which is echoed in the terminal summary.
 
 import pytest
 
-from peelcore.ensemble import EnsembleParams
 from peelcore.ode import critical_constants
 from peelcore.airy import omega_integral
 
 
 @pytest.fixture(scope="session")
-def params3():
-    # l, n, m here only carry l into the analytic layer; n and m are dummies.
-    return EnsembleParams(l=3, n=100, m=100)
-
-
-@pytest.fixture(scope="session")
-def cc3(params3):
-    return critical_constants(params3, h=1e-4)
+def cc3():
+    return critical_constants(3, h=1e-4)
 
 
 @pytest.fixture(scope="session")

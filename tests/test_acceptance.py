@@ -34,6 +34,7 @@ from peelcore.experiments import (
 )
 from peelcore.kernels import (
     kernel_max_discrepancy,
+    p_triple,
     sample_conditional_steps,
     w_exact,
     w_hat,
@@ -41,7 +42,6 @@ from peelcore.kernels import (
 from peelcore.ode import critical_point, solve_y, y_closed
 from peelcore.peeling import brute_force_max_stopping_set, core_of, peel
 
-PARAMS_L3 = EnsembleParams(l=3, n=100, m=100)
 RHO_REF = 1.2218
 
 
@@ -53,9 +53,9 @@ def _verdict(lines, tag, ok, detail):
 
 
 def test_c01_critical_density(acceptance_lines):
-    ode._critical_point_l.cache_clear()
+    critical_point.cache_clear()
     t0 = time.perf_counter()
-    rho_c, theta_c, u2 = critical_point(PARAMS_L3)
+    rho_c, theta_c, u2 = critical_point(3)
     dt = time.perf_counter() - t0
     err = abs(rho_c - RHO_REF)
     ok = err <= 5e-4 and dt < 1.0
@@ -64,12 +64,12 @@ def test_c01_critical_density(acceptance_lines):
 
 
 def test_c02_ode_vs_closed_form(acceptance_lines):
-    rho_c, theta_c, _ = critical_point(PARAMS_L3)
+    rho_c, theta_c, _ = critical_point(3)
     t0 = time.perf_counter()
-    sol = solve_y(rho_c, PARAMS_L3, h=1e-4, theta_end=theta_c)
+    sol = solve_y(rho_c, 3, h=1e-4, theta_end=theta_c)
     sup = 0.0
     for th, y in zip(sol.thetas, sol.ys):
-        sup = max(sup, np.max(np.abs(y - y_closed(float(th), rho_c, PARAMS_L3))))
+        sup = max(sup, np.max(np.abs(y - y_closed(float(th), rho_c, 3))))
     dt = time.perf_counter() - t0
     ok = sup <= 1e-8 and dt < 10.0
     assert _verdict(acceptance_lines, "c02", ok,
@@ -77,16 +77,17 @@ def test_c02_ode_vs_closed_form(acceptance_lines):
 
 
 def test_c03_dual_route_constants(acceptance_lines):
-    l = PARAMS_L3.l
-    rho_c, theta_c, u2 = critical_point(PARAMS_L3)
+    l = 3
+    rho_c, theta_c, u2 = critical_point(l)
     gamma_c = l / rho_c
 
     curv_closed = ode._y1_second_derivative_closed(u2, gamma_c, l)
     yc = ode._y_formula(theta_c, rho_c, l)
     xc = np.array([max(yc[0], 0.0), yc[1]])
-    dF1_dx2 = (l - 1) * ode._p1_partials(xc[0], xc[1], theta_c, l)[1]
-    F2c = ode.rhs_F(xc, theta_c, PARAMS_L3)[1]
-    curv_chain = ode._dF1_dtheta(xc, theta_c, PARAMS_L3) + dF1_dx2 * F2c
+    pc = p_triple(xc, theta_c, l)
+    dF1_dx2 = (l - 1) * ode._p1_partials(pc, xc[1], theta_c, l)[1]
+    F2c = ode.rhs_F(pc, l)[1]
+    curv_chain = ode._dF1_dtheta(xc, theta_c, l) + dF1_dx2 * F2c
     rel_curv = abs(curv_closed - curv_chain) / abs(curv_closed)
 
     sens_closed = (l ** 2 / rho_c ** 2) * u2 ** (2 * (l - 1)) * (1.0 - u2)
@@ -170,13 +171,13 @@ def test_c06_kernel_discrepancy_rate(acceptance_lines):
 
 def test_c07_initial_moments(acceptance_lines):
     n = 10_000
-    rho_c = critical_point(PARAMS_L3)[0]
+    rho_c = critical_point(3)[0]
     m = int(round(n * rho_c))
     params = EnsembleParams(l=3, n=n, m=m)
     reps = 10_000
     rng = np.random.default_rng(1007)
     zs = sample_profiles(params, reps, rng).astype(float)
-    y0, Q0 = initial_moments(params)
+    y0, Q0 = initial_moments(3, params.rho)
     mean_target = n * np.asarray(y0)
     cov_target = n * np.asarray(Q0)
     mean_err = np.abs(zs.mean(axis=0) - mean_target)
@@ -330,7 +331,7 @@ def test_c12_core_size_law(acceptance_lines):
 
 def test_c13_no_small_cores(acceptance_lines):
     m, reps = 500, 10_000
-    rho_c = critical_point(PARAMS_L3)[0]
+    rho_c = critical_point(3)[0]
     t0 = time.perf_counter()
     notes = []
     ok = True

@@ -15,7 +15,6 @@ from peelcore.ensemble import (
     EnsembleParams,
     degree_profile,
     initial_moments,
-    initial_moments_lr,
     log_coeff_rows,
     log_ensemble_count,
     sample_balls_in_bins,
@@ -176,7 +175,7 @@ def test_initial_moments_frozen_values():
     # q-entries at l = 3, gamma = gamma_c, against an independent symbolic
     # evaluation of the closed forms
     rho = 3.0 / 2.455407482284128
-    y0, Q0 = initial_moments_lr(3, rho)
+    y0, Q0 = initial_moments(3, rho)
     assert y0[0] == pytest.approx(3 * math.exp(-2.455407482284128), rel=1e-12)
     assert Q0[0, 0] == pytest.approx(0.15641020483434657, rel=1e-10)
     assert Q0[0, 1] == pytest.approx(-0.10214705636682844, rel=1e-10)
@@ -187,7 +186,7 @@ def test_initial_moments_frozen_values():
 def test_initial_moments_small_gamma_limits():
     # gamma -> 0: y -> (l, 0), q11 ~ 2 l gamma, q12 ~ -l gamma, q22 ~ l gamma / 2
     l, g = 3, 1e-5
-    y0, Q0 = initial_moments_lr(l, l / g)
+    y0, Q0 = initial_moments(l, l / g)
     assert y0[0] == pytest.approx(l, rel=1e-4)
     assert abs(y0[1]) < 1e-4
     assert Q0[0, 0] == pytest.approx(2 * l * g, rel=1e-3)
@@ -195,16 +194,10 @@ def test_initial_moments_small_gamma_limits():
     assert Q0[1, 1] == pytest.approx(l * g / 2, rel=1e-3)
 
 
-def test_initial_moments_matches_params_form(params3):
-    y_a, Q_a = initial_moments(EnsembleParams(3, 100, 122))
-    y_b, Q_b = initial_moments_lr(3, 1.22)
-    assert np.allclose(y_a, y_b) and np.allclose(Q_a, Q_b)
-
-
 @given(st.floats(min_value=0.05, max_value=12.0))
 @settings(max_examples=60, deadline=None)
 def test_initial_covariance_positive_definite(gamma):
-    _, Q0 = initial_moments_lr(3, 3.0 / gamma)
+    _, Q0 = initial_moments(3, 3.0 / gamma)
     assert Q0[0, 0] > 0 and Q0[1, 1] > 0
     assert np.linalg.det(Q0) > 0
 
@@ -214,7 +207,7 @@ def test_initial_moments_match_multinomial_simulation():
     params = EnsembleParams(3, 3000, 3664)
     rng = np.random.default_rng(11)
     draws = sample_profiles(params, 4000, rng)
-    y0, Q0 = initial_moments(params)
+    y0, Q0 = initial_moments(3, params.rho)
     n = params.n
     mean = draws.mean(axis=0) / n
     se = np.sqrt(np.diag(Q0) / n / 4000)

@@ -235,6 +235,7 @@ def test_small_core_fraction_run():
     ("nc", {"m_list": (40, 0)}),
     ("core-size", {"n_list": (-60,)}),
     ("core-prob", {"rho_list": (1.2, -1.2)}),
+    ("core-prob", {"l": 2}),
 ])
 def test_config_rejects_bad_driver_inputs(tmp_path, experiment, bad):
     with pytest.raises(ValueError):
@@ -245,6 +246,18 @@ def test_config_accepts_grids_its_experiment_ignores(tmp_path):
     _tiny_cfg("core-prob", tmp_path, r_list=(), rho_list=(1.2,), n_list=())
     _tiny_cfg("nc", tmp_path, r_list=(), n_list=())
     _tiny_cfg("core-size", tmp_path, m_list=(), r_list=())
+
+
+@pytest.mark.parametrize("grid", [{"r_list": (-1e4,)}, {"rho_list": (1e-6,)}])
+def test_core_prob_rejects_graphs_past_the_peel_id_range(tmp_path, monkeypatch, grid):
+    # n = 6.7e7 (r = -1e4) and 6e7 (rho = 1e-6) edges at m = 60: the size check
+    # must come before any block is drawn
+    def no_draw(task):
+        raise AssertionError("a block was sampled")
+
+    monkeypatch.setattr(experiments, "_block", no_draw)
+    with pytest.raises(ValueError, match=r"2\*\*31"):
+        run_core_prob(_tiny_cfg("core-prob", tmp_path, **grid))
 
 
 def test_blocks_rejects_nonpositive_block():
@@ -341,9 +354,9 @@ def test_cli_constants_with_omega_computes_constants_once(monkeypatch, capsys):
     calls = []
     real = experiments.critical_constants
 
-    def counted(params):
-        calls.append(params)
-        return real(params)
+    def counted(l):
+        calls.append(l)
+        return real(l)
 
     # count calls made by the CLI itself as well as through get_constants
     monkeypatch.setattr(experiments, "critical_constants", counted)

@@ -204,8 +204,7 @@ def test_solve_lambda_at_exact_bisection_midpoint():
 
 
 def test_projection_identity_inside():
-    params = EnsembleParams(3, 10, 12)
-    x = project_feasible((0.3, 0.4), 0.2, params)
+    x = project_feasible((0.3, 0.4), 0.2, 3)
     assert x.tolist() == [0.3, 0.4]
 
 
@@ -216,9 +215,8 @@ def test_projection_identity_inside():
 )
 @settings(max_examples=150, deadline=None)
 def test_projection_is_nearest_feasible(x1, x2, theta):
-    params = EnsembleParams(3, 10, 12)
     L = 3 * (1.0 - theta)
-    p = project_feasible((x1, x2), theta, params)
+    p = project_feasible((x1, x2), theta, 3)
     assert p[0] >= -1e-12 and p[1] >= -1e-12
     assert p[0] + 2 * p[1] <= L + 1e-9
     # no grid point of the feasible triangle is closer
@@ -235,29 +233,27 @@ def test_projection_is_nearest_feasible(x1, x2, theta):
 
 
 def test_p_triple_basic_conventions():
-    params = EnsembleParams(3, 10, 12)
-    p = p_triple((0.3, 0.5), 0.1, params)
+    p = p_triple((0.3, 0.5), 0.1, 3)
     assert p.p0 + p.p1 + p.p2 == pytest.approx(1.0, abs=1e-15)
     assert p.p0 == pytest.approx(0.3 / 2.7, rel=1e-14)
     assert min(p.p0, p.p1, p.p2) >= 0
     # negative x1 clamps to zero mass, not an error
-    q = p_triple((-0.2, 0.5), 0.1, params)
+    q = p_triple((-0.2, 0.5), 0.1, 3)
     assert q.p0 == 0.0
     # x2 = 0 degenerates
-    r = p_triple((0.3, 0.0), 0.1, params)
+    r = p_triple((0.3, 0.0), 0.1, 3)
     assert (r.p1, r.p2) == (0.0, pytest.approx(1.0 - 0.3 / 2.7))
     assert r.lam == math.inf
     with pytest.raises(ValueError):
-        p_triple((0.3, -0.1), 0.1, params)
+        p_triple((0.3, -0.1), 0.1, 3)
     with pytest.raises(ValueError):
-        p_triple((5.0, 0.1), 0.1, params)  # x1 beyond the slab
+        p_triple((5.0, 0.1), 0.1, 3)  # x1 beyond the slab
 
 
 def test_p_triple_tilt_identity():
     # p1/p2 = psi(lam)/lam and p1 + p2 = x2 f1(lam)/L by construction
-    params = EnsembleParams(3, 10, 12)
     x1, x2, th = 0.4, 0.6, 0.25
-    p = p_triple((x1, x2), th, params)
+    p = p_triple((x1, x2), th, 3)
     L = 3 * (1 - th)
     assert f1_eval(p.lam) == pytest.approx((L - x1) / x2, rel=1e-12)
     assert p.p1 / p.p2 == pytest.approx(psi_eval(p.lam) / p.lam, rel=1e-10)
@@ -276,7 +272,7 @@ def test_w_hat_mean_formula():
     # mean = (-1 + (l-1)(p1 - p0), -(l-1) p1)
     params = EnsembleParams(3, 10, 12)
     x, th = (0.35, 0.55), 0.15
-    p = p_triple(x, th, params)
+    p = p_triple(x, th, 3)
     mu = w_hat(x, th, params).mean()
     assert mu[0] == pytest.approx(-1 + 2 * (p.p1 - p.p0), abs=1e-12)
     assert mu[1] == pytest.approx(-2 * p.p1, abs=1e-12)

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
-from peelcore.ensemble import EnsembleParams, initial_moments_lr
+from peelcore.ensemble import EnsembleParams, initial_moments
+from peelcore import kernels
 from peelcore.kernels import p_triple, w_hat
 from peelcore.ode import (
     _A_any,
@@ -28,7 +29,7 @@ from peelcore.ode import (
     y_closed,
 )
 
-P3 = EnsembleParams(3, 100, 100)
+P3 = EnsembleParams(3, 100, 100)    # for w_hat only; the analytic layer takes l
 
 STATES = [
     ((0.3, 0.4), 0.0),
@@ -41,13 +42,13 @@ STATES = [
 @pytest.mark.parametrize("x,th", STATES)
 def test_drift_is_kernel_mean(x, th):
     mu = w_hat(x, th, P3).mean()
-    assert np.allclose(rhs_F(x, th, P3), mu, atol=1e-12)
+    assert np.allclose(rhs_F(p_triple(x, th, 3), 3), mu, atol=1e-12)
 
 
 @pytest.mark.parametrize("x,th", STATES)
 def test_noise_is_kernel_covariance(x, th):
     cov = w_hat(x, th, P3).cov()
-    G = noise_G(x, th, P3)
+    G = noise_G(p_triple(x, th, 3), 3)
     assert np.allclose(G, cov, atol=1e-12)
     assert G[0, 1] == G[1, 0]
     assert np.linalg.eigvalsh(G).min() > -1e-12
@@ -55,42 +56,52 @@ def test_noise_is_kernel_covariance(x, th):
 
 def test_second_drift_component_closed_form():
     for x, th in STATES:
-        p = p_triple(x, th, P3)
-        assert rhs_F(x, th, P3)[1] == pytest.approx(-2.0 * p.p1, abs=1e-14)
+        p = p_triple(x, th, 3)
+        assert rhs_F(p_triple(x, th, 3), 3)[1] == pytest.approx(-2.0 * p.p1, abs=1e-14)
 
 
 @pytest.mark.parametrize("x,th", STATES)
 def test_jacobian_matches_finite_differences(x, th):
-    A = jacobian_A(x, th, P3)
+    A = jacobian_A(x, th, 3)
     d = 1e-6
     fd = np.empty((2, 2))
     for j in range(2):
         e = np.zeros(2)
         e[j] = d
-        fd[:, j] = (rhs_F(np.add(x, e), th, P3) - rhs_F(np.subtract(x, e), th, P3)) / (2 * d)
+        fd[:, j] = (rhs_F(p_triple(np.add(x, e), th, 3), 3)
+                    - rhs_F(p_triple(np.subtract(x, e), th, 3), 3)) / (2 * d)
     assert np.allclose(A, fd, atol=2e-6)
 
 
 def test_dF1_dtheta_matches_finite_differences():
     for x, th in STATES:
         d = 1e-6
-        fd = (rhs_F(x, th + d, P3)[0] - rhs_F(x, th - d, P3)[0]) / (2 * d)
-        assert _dF1_dtheta(x, th, P3) == pytest.approx(fd, abs=2e-6)
+        fd = (rhs_F(p_triple(x, th + d, 3), 3)[0]
+              - rhs_F(p_triple(x, th - d, 3), 3)[0]) / (2 * d)
+        assert _dF1_dtheta(x, th, 3) == pytest.approx(fd, abs=2e-6)
 
 
 def test_jacobian_rejects_kink_region():
     with pytest.raises(ValueError):
-        jacobian_A((0.0, 0.4), 0.1, P3)
+        jacobian_A((0.0, 0.4), 0.1, 3)
     with pytest.raises(ValueError):
-        jacobian_A((0.3, 0.0), 0.1, P3)
+        jacobian_A((0.3, 0.0), 0.1, 3)
+
+
+def test_jacobian_finite_below_the_tilt_tolerance():
+    # x2 < 1e-12 L gives p_triple's limit lam = inf, p1 = 0; the partials of
+    # p1 vanish there, as they do at x2 = 1e-9
+    tiny = jacobian_A((0.3, 1e-14), 0.1, 3)
+    assert np.isfinite(tiny).all()
+    assert np.array_equal(tiny, jacobian_A((0.3, 1e-9), 0.1, 3))
 
 
 def test_jacobian_fallback_continuous_at_kink():
     # one-sided difference column just below the kink agrees with the analytic
     # jacobian just above it
     th = 0.2
-    above = jacobian_A((2e-8, 0.5), th, P3)
-    below = _A_any((0.0, 0.5), th, P3)
+    above = jacobian_A((2e-8, 0.5), th, 3)
+    below = _A_any((0.0, 0.5), p_triple((0.0, 0.5), th, 3), th, 3)
     assert np.allclose(above, below, atol=1e-4)
 
 
@@ -99,7 +110,7 @@ def test_jacobian_fallback_continuous_at_kink():
 
 def test_closed_form_initial_condition():
     for rho in (0.9, 1.2217931327672212, 1.5):
-        y0, _ = initial_moments_lr(3, rho)
+        y0, _ = initial_moments(3, rho)
         assert np.allclose(_y_formula(0.0, rho, 3), y0, atol=1e-14)
 
 
@@ -108,7 +119,7 @@ def test_closed_form_satisfies_ode():
     for th in (0.1, 0.3, 0.5, 0.7):
         d = 1e-6
         dy = (_y_formula(th + d, rho, 3) - _y_formula(th - d, rho, 3)) / (2 * d)
-        F = rhs_F(_y_formula(th, rho, 3), th, P3)
+        F = rhs_F(p_triple(_y_formula(th, rho, 3), th, 3), 3)
         assert np.allclose(dy, F, atol=1e-8)
 
 
@@ -120,33 +131,33 @@ def test_closed_form_theta_one_limit():
 
 
 def test_theta_minus_and_guard():
-    rho_c = critical_point(P3)[0]
-    assert theta_minus(rho_c, P3) == 1.0
-    assert theta_minus(1.5, P3) == 1.0
-    tm = theta_minus(0.95 * rho_c, P3)
+    rho_c = critical_point(3)[0]
+    assert theta_minus(rho_c, 3) == 1.0
+    assert theta_minus(1.5, 3) == 1.0
+    tm = theta_minus(0.95 * rho_c, 3)
     assert tm == pytest.approx(0.4174991961020825, abs=1e-8)
     # y1 proportional to the root function: positive before, negative after
     assert _y_formula(tm - 1e-4, 0.95 * rho_c, 3)[0] > 0
     assert _y_formula(tm + 1e-3, 0.95 * rho_c, 3)[0] < 0
     with pytest.raises(ValueError):
-        y_closed(tm + 1e-3, 0.95 * rho_c, P3)
-    assert y_closed(tm - 1e-4, 0.95 * rho_c, P3)[0] > 0
+        y_closed(tm + 1e-3, 0.95 * rho_c, 3)
+    assert y_closed(tm - 1e-4, 0.95 * rho_c, 3)[0] > 0
 
 
 def test_theta_minus_just_below_critical():
     # the dip of h_rho below 0 narrows to a point as rho -> rho_c; the crossing
     # still lies just before theta_c
-    rho_c, theta_c, _ = critical_point(P3)
+    rho_c, theta_c, _ = critical_point(3)
     for f in (1 - 1e-9, 1 - 1e-13):
-        tm = theta_minus(f * rho_c, P3)
+        tm = theta_minus(f * rho_c, 3)
         assert theta_c - 1e-3 < tm < theta_c
         assert _y_formula(tm - 1e-4, f * rho_c, 3)[0] > 0
     # one ulp below rho_c the dip is lost to rounding: no crossing, no error
-    assert 0.0 < theta_minus(float(np.nextafter(rho_c, 0.0)), P3) <= 1.0
+    assert 0.0 < theta_minus(float(np.nextafter(rho_c, 0.0)), 3) <= 1.0
 
 
 def test_subcritical_supercritical_dichotomy():
-    rho_c = critical_point(P3)[0]
+    rho_c = critical_point(3)[0]
     ths = np.linspace(0, 0.98, 500)
     sub = np.array([_y_formula(t, 0.95 * rho_c, 3)[0] for t in ths])
     sup = np.array([_y_formula(t, 1.05 * rho_c, 3)[0] for t in ths])
@@ -158,7 +169,7 @@ def test_subcritical_supercritical_dichotomy():
 
 
 def test_critical_point_frozen_values():
-    rho_c, theta_c, u2 = critical_point(P3)
+    rho_c, theta_c, u2 = critical_point(3)
     assert u2 == pytest.approx(0.7153318629591615, rel=1e-12)
     assert rho_c == pytest.approx(1.2217931327672212, rel=1e-12)
     assert theta_c == pytest.approx(0.6339649188042231, rel=1e-12)
@@ -180,16 +191,41 @@ def test_critical_point_matches_molloy_threshold(l):
     res = minimize_scalar(lambda x: x / (l * (1.0 - math.exp(-x)) ** (l - 1)),
                           bounds=(0.1, 10.0), method="bounded", options={"xatol": 1e-10})
     assert res.success
-    assert abs(1.0 / res.fun - critical_point(EnsembleParams(l, 100, 100))[0]) <= 1e-12
+    assert abs(1.0 / res.fun - critical_point(l)[0]) <= 1e-12
 
 
 def test_critical_point_fast():
     import time
-    from peelcore import ode
-    ode._critical_point_l.cache_clear()
+    critical_point.cache_clear()
     t0 = time.time()
-    critical_point(P3)
+    critical_point(3)
     assert time.time() - t0 < 1.0
+
+
+def test_analytic_layer_rejects_bad_l_and_rho():
+    for l in (2, 1):
+        with pytest.raises(ValueError, match="l must be >= 3"):
+            critical_point(l)
+    with pytest.raises(ValueError, match="l >= 3"):
+        initial_moments(2, 1.2)
+    for rho in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="rho > 0"):
+            initial_moments(3, rho)
+        with pytest.raises(ValueError, match="rho > 0"):
+            solve_y(rho, 3)
+
+
+def test_solve_Q_solves_the_tilt_once_per_stage(monkeypatch):
+    calls = []
+    real = kernels.solve_lambda
+
+    def counted(xi):
+        calls.append(xi)
+        return real(xi)
+
+    monkeypatch.setattr(kernels, "solve_lambda", counted)
+    sol = solve_Q(1.3, 3, h=1e-3)
+    assert len(calls) == 4 * (len(sol.thetas) - 1)
 
 
 def test_solver_validation():
@@ -198,12 +234,12 @@ def test_solver_validation():
     for solver in (solve_y, solve_Q):
         for kw in bad:
             with pytest.raises(ValueError):
-                solver(1.2, P3, **kw)
+                solver(1.2, 3, **kw)
 
 
 def test_solver_matches_closed_form():
-    rho_c, theta_c, _ = critical_point(P3)
-    sol = solve_y(rho_c, P3, h=1e-3, theta_end=theta_c)
+    rho_c, theta_c, _ = critical_point(3)
+    sol = solve_y(rho_c, 3, h=1e-3, theta_end=theta_c)
     worst = max(
         abs(sol.ys[k] - _y_formula(float(t), rho_c, 3)).max()
         for k, t in enumerate(sol.thetas)
@@ -215,15 +251,15 @@ def test_solver_matches_closed_form():
 
 
 def test_solver_supercritical_full_range():
-    sol = solve_y(1.35, P3, h=1e-3)
+    sol = solve_y(1.35, 3, h=1e-3)
     assert sol.thetas[-1] == pytest.approx(0.95)
     assert sol.ys[:, 0].min() > 0
 
 
 def test_covariance_solver_initial_and_richardson():
-    rho_c, theta_c, _ = critical_point(P3)
-    sol = solve_Q(rho_c, P3, h=1e-3, theta_end=theta_c)
-    y0, Q0 = initial_moments_lr(3, rho_c)
+    rho_c, theta_c, _ = critical_point(3)
+    sol = solve_Q(rho_c, 3, h=1e-3, theta_end=theta_c)
+    y0, Q0 = initial_moments(3, rho_c)
     assert np.allclose(sol.Qs[0], Q0, atol=1e-14)
     assert np.allclose(sol.ys[0], y0, atol=1e-14)
     # symmetry everywhere, positive definite endpoint
@@ -231,7 +267,7 @@ def test_covariance_solver_initial_and_richardson():
     Qc = sol.Qs[-1]
     assert np.linalg.eigvalsh(Qc).min() > 0
     # halving the step moves Q11(theta_c) by far less than the tolerance used
-    sol2 = solve_Q(rho_c, P3, h=5e-4, theta_end=theta_c)
+    sol2 = solve_Q(rho_c, 3, h=5e-4, theta_end=theta_c)
     assert abs(sol2.Qs[-1][0, 0] - Qc[0, 0]) < 1e-9
 
 
@@ -253,7 +289,7 @@ def test_critical_constants_identities(cc3):
     assert cc3.beta == cc3.G_tilde ** (2 / 3) * cc3.F_tilde ** (-1 / 3) / math.sqrt(cc3.Q11c)
     # second drift component is exactly -1 at the critical state
     xc = _y_formula(cc3.theta_c, cc3.rho_c, 3)
-    F2 = rhs_F(np.array([max(xc[0], 0.0), xc[1]]), cc3.theta_c, P3)[1]
+    F2 = rhs_F(p_triple(np.array([max(xc[0], 0.0), xc[1]]), cc3.theta_c, 3), 3)[1]
     assert F2 == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -270,7 +306,7 @@ def test_with_omega_bit_identity(cc3):
 @settings(max_examples=25, deadline=None)
 def test_y2_nonnegative_on_valid_range(rho):
     # vertex mass in the degree->=2 class can never go negative
-    tm = min(theta_minus(rho, P3), 0.95)
+    tm = min(theta_minus(rho, 3), 0.95)
     ths = np.linspace(0, tm - 1e-6, 50)
     vals = np.array([_y_formula(t, rho, 3)[1] for t in ths])
     assert vals.min() > -1e-12
