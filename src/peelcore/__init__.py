@@ -21,7 +21,7 @@ from .experiments import (
     run_core_size,
     run_onset,
 )
-from .kernels import p_triple, simulate_chain, w_exact, w_hat
+from .kernels import p_triple, w_exact, w_hat
 from .ode import (
     CriticalConstants,
     critical_constants,
@@ -40,7 +40,7 @@ __all__ = [
     "sample_uniform", "sample_balls_in_bins", "degree_profile",
     "log_ensemble_count", "initial_moments",
     "peel", "core_of", "onset_edge_count", "brute_force_max_stopping_set",
-    "w_exact", "w_hat", "p_triple", "simulate_chain",
+    "w_exact", "w_hat", "p_triple",
     "critical_point", "critical_constants", "CriticalConstants",
     "solve_y", "solve_Q", "y_closed",
     "airy_pair", "kernel_K", "cdf_Z", "omega_integral", "mc_parabolic_min",

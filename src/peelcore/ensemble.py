@@ -24,6 +24,7 @@ __all__ = [
     "sample_profiles",
     "log_ensemble_count",
     "log_coeff_rows",
+    "log_coeff_band",
     "initial_moments",
 ]
 
@@ -152,10 +153,22 @@ def _log_coeff_columns(t: int, s_max: int):
     col[0] = 0.0
     yield col
     for s in range(1, s_max + 1):
-        nxt = np.full(t + 1, -np.inf)
-        nxt[1:] = log_t - math.log(s) + np.logaddexp(col[1:], prev[:-1])
+        nxt = np.empty(t + 1)
+        nxt[0] = -np.inf
+        np.logaddexp(col[1:], prev[:-1], out=nxt[1:])
+        nxt[1:] += log_t - math.log(s)
         prev, col = col, nxt
         yield col
+
+
+def log_coeff_band(t_lo: int, t_hi: int, s_max: int) -> np.ndarray:
+    """Rows t_lo..t_hi of log coeff[(e^x - 1 - x)^t, x^s], s = 0..s_max, from one
+    column pass.  Entry t of a column depends on nothing above t, so each row
+    equals its one-row pass bit for bit."""
+    band = np.empty((s_max + 1, t_hi - t_lo + 1))
+    for s, col in enumerate(_log_coeff_columns(t_hi, s_max)):
+        band[s] = col[t_lo:]
+    return band.T
 
 
 @lru_cache(maxsize=256)
@@ -164,17 +177,26 @@ def log_coeff_rows(t: int, s_max: int) -> np.ndarray:
 
     One pass over s with O(t + s_max) memory and no recursion.
     """
-    row = np.array([col[t] for col in _log_coeff_columns(t, s_max)])
+    row = log_coeff_band(t, t, s_max)[0]
     row.flags.writeable = False
     return row
 
 
-def _log_multinomial(total: int, parts) -> float:
-    lf = _log_factorials(total)
-    out = lf[total]
-    for p in parts:
-        out -= lf[p]
-    return float(out)
+def _exact_state(profile, tau, n: int) -> tuple:
+    """(z1, z2, tau) as ints; ValueError unless all are integral and 0 <= tau <= n."""
+    vals = (profile[0], profile[1], tau)
+    if not all(float(v).is_integer() for v in vals):
+        raise ValueError(f"profile {tuple(vals[:2])} and step {tau} must be integers")
+    z1, z2, tau = map(int, vals)
+    if not 0 <= tau <= n:
+        raise ValueError(f"step tau = {tau} outside [0, n = {n}]")
+    return z1, z2, tau
+
+
+def _empty_class(z1, z2, s, m: int):
+    """True (elementwise for arrays) where no ensemble element has profile
+    (z1, z2) with degree mass s left for the z2 class."""
+    return (z1 < 0) | (z2 < 0) | (z1 + z2 > m) | (s < 2 * z2) | ((z2 == 0) & (s != 0))
 
 
 def log_ensemble_count(profile, tau: int, params: EnsembleParams) -> float:
@@ -182,21 +204,18 @@ def log_ensemble_count(profile, tau: int, params: EnsembleParams) -> float:
 
     The count is C(m; z1, z2, z0) * C(n, tau) * ((n-tau)l)! *
     coeff[(e^x - 1 - x)^z2, x^((n-tau)l - z1)]; -inf signals an empty class
-    (infeasible profile), not an error.
+    (infeasible profile), not an error.  ValueError for non-integral entries
+    or tau outside [0, n].
     """
-    z1, z2 = int(profile[0]), int(profile[1])
     n, m, l = params.n, params.m, params.l
-    z0 = m - z1 - z2
-    if z1 < 0 or z2 < 0 or z0 < 0 or not (0 <= tau <= n):
-        return -np.inf
+    z1, z2, tau = _exact_state(profile, tau, n)
     s = (n - tau) * l - z1  # degree mass left for the z2 class
-    if s < 0 or (z2 == 0 and s != 0) or (z2 > 0 and s < 2 * z2):
+    if _empty_class(z1, z2, s, m):
         return -np.inf
-    lc = log_coeff_rows(z2, (n - tau) * l)[s] if s > 0 or z2 > 0 else 0.0
-    if lc == -np.inf:
-        return -np.inf
+    z0 = m - z1 - z2
+    lc = log_coeff_rows(z2, (n - tau) * l)[s]
     lf = _log_factorials(max(n, (n - tau) * l, m))
-    out = _log_multinomial(m, (z1, z2, z0))
+    out = lf[m] - lf[z1] - lf[z2] - lf[z0]        # C(m; z1, z2, z0)
     out += lf[n] - lf[tau] - lf[n - tau]          # C(n, tau)
     out += lf[(n - tau) * l]                       # socket orderings
     out += lc

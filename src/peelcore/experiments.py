@@ -149,16 +149,24 @@ def _block(task):
     return stat(rng.integers(0, m, size=(breps, n, l)), m)
 
 
+_BLOCK_BYTES_MAX = 2**29     # one block's int64 socket table: 512 MiB, 67 million sockets
+
+
 def _sample_points(stat, l: int, points, reps: int, seed: int, block: int,
                    workers: int) -> list:
     """stat over reps sampled graphs at each (n, m) point, one array per point.
 
     Every (point, block) task goes through one task map, so a run opens at
-    most one process pool.
+    most one process pool.  ValueError, before any draw, for a block past
+    the peel's id range or _BLOCK_BYTES_MAX.
     """
     bl = _blocks(reps, block)
+    R = min(block, reps)
     for n, m in points:     # each point's largest block, before any is drawn
-        check_id_range(min(block, reps), n, l, m)
+        check_id_range(R, n, l, m)
+        if R * n * l * 8 > _BLOCK_BYTES_MAX:
+            raise ValueError(f"a block of {R} graphs of {n} edges is a {R * n * l * 8} B "
+                             f"socket table, over the {_BLOCK_BYTES_MAX} B bound")
     tasks = [(stat, l, n, m, seed, p_idx, b_idx, breps)
              for p_idx, (n, m) in enumerate(points) for b_idx, breps in bl]
     if workers <= 1:

@@ -2,8 +2,8 @@
 
 Exact finite-n kernel (ratio of ensemble counts times an explicit transition
 count, summed over a small integer simplex) and its large-n multinomial
-approximation, plus a chain simulator and the conditional-ensemble sampler used
-to validate the exact kernel empirically.
+approximation, plus the conditional-ensemble sampler used to validate the exact
+kernel empirically.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ import numpy as np
 
 from .ensemble import (
     EnsembleParams,
-    _log_coeff_columns,
+    _empty_class,
+    _exact_state,
     _log_factorials,
-    degree_profile,
+    log_coeff_band,
     log_ensemble_count,
-    sample_uniform,
 )
 
 __all__ = [
@@ -37,8 +37,7 @@ __all__ = [
     "p_triple",
     "w_hat",
     "w_exact",
-    "ChainRecord",
-    "simulate_chain",
+    "w_exact_states",
     "sample_conditional_steps",
     "kernel_max_discrepancy",
     "default_state_grid",
@@ -287,94 +286,79 @@ def _coeff_mixed(n_em1mx: int, n_em1: int, deg: int) -> Fraction:
     return row[deg]
 
 
-def w_exact(profile, tau: int, params: EnsembleParams) -> KernelDistribution:
-    """Exact one-step kernel at profile z = (z1, z2) and step tau.
+@lru_cache(maxsize=8)
+def _moves(l: int):
+    """The exact kernel's moves at edge size l, sorted by increment (dz1, dz2):
+    the increments, where each one's moves start, the moves' (dz1, dz2, d_q0,
+    d_p0 + d_q1 + d_q2) and log(l! d_q0 coeff / (d_p0! d_q0! d_q1! d_q2!)).
 
-    Identity kernel when z1 = 0; otherwise a sum over the transition counts
-    (d_p0, d_q0, d_q1, d_q2) with 2 d_p0 + d_q0 + d_q1 + d_q2 <= l, each term a
-    ratio of ensemble counts (log space) times exact small combinatorics.
-    Terms are nonnegative and the result sums to 1 without renormalization.
+    Deleting a leaf's v-node empties d_q0 >= 1 degree-1 and d_p0 class-2
+    vertices, takes d_q1 class-2 vertices to degree 1 and leaves d_q2 in class 2.
     """
-    z1, z2 = int(profile[0]), int(profile[1])
-    if z1 == 0:
-        return KernelDistribution({(0, 0): 1.0})
+    moves = sorted((d_q1 - d_q0, -(d_p0 + d_q1), d_q0, d_p0 + d_q1 + d_q2,
+                    math.log(math.factorial(l) * d_q0 * _coeff_mixed(d_p0, d_q1 + d_q2, l - d_q0)
+                             / (math.factorial(d_p0) * math.factorial(d_q0)
+                                * math.factorial(d_q1) * math.factorial(d_q2))))
+                   for d_p0 in range(l // 2 + 1)
+                   for d_q0 in range(1, l - 2 * d_p0 + 1)
+                   for d_q1 in range(l - 2 * d_p0 - d_q0 + 1)
+                   for d_q2 in range(l - 2 * d_p0 - d_q0 - d_q1 + 1)
+                   if _coeff_mixed(d_p0, d_q1 + d_q2, l - d_q0))
+    moves = np.array(moves)
+    starts = np.flatnonzero(np.r_[True, np.any(moves[1:, :2] != moves[:-1, :2], axis=1)])
+    keys = [(int(a), int(b)) for a, b in moves[starts, :2]]
+    ints = moves[:, :4].astype(np.int64)
+    for arr in (starts, ints, moves):
+        arr.flags.writeable = False
+    return keys, starts, ints, moves[:, 4]
+
+
+def w_exact_states(profiles, tau: int, params: EnsembleParams) -> list:
+    """Exact one-step kernels of profiles z = (z1, z2) at one step tau, the
+    identity where z1 = 0; ValueError for an infeasible or non-integral profile.
+
+    A move's probability is h(z', tau + 1)/h(z, tau) (log_ensemble_count) times
+    its count of ways; the class factorials of z' cancel.  All states read one
+    coefficient band, rows z2_min - (l-1) .. z2_max for s <= (n - tau) l.  Each
+    law sums to 1 without renormalization.
+    """
     n, m, l = params.n, params.m, params.l
-    log_h = log_ensemble_count((z1, z2), tau, params)
-    if log_h == -np.inf:
-        raise ValueError(f"infeasible profile (z1={z1}, z2={z2}) at tau={tau}")
-    log_pref = math.log(tau + 1) + math.lgamma(l + 1)
-    out = {}
-    for d_p0 in range(l // 2 + 1):
-        for d_q0 in range(1, l - 2 * d_p0 + 1):
-            for d_q1 in range(l - 2 * d_p0 - d_q0 + 1):
-                for d_q2 in range(l - 2 * d_p0 - d_q0 - d_q1 + 1):
-                    dz1 = d_q1 - d_q0
-                    dz2 = -(d_p0 + d_q1)
-                    z1p, z2p = z1 + dz1, z2 + dz2
-                    if z1p < 0 or z2p < 0:
-                        continue
-                    z0p = m - z1p - z2p
-                    if z0p < d_q0 + d_p0 or d_q1 > z1p or d_q2 > z2p:
-                        continue
-                    log_hp = log_ensemble_count((z1p, z2p), tau + 1, params)
-                    if log_hp == -np.inf:
-                        continue
-                    coeff = _coeff_mixed(d_p0, d_q1 + d_q2, l - d_q0)
-                    if coeff == 0:
-                        continue
-                    log_term = (
-                        log_hp - log_h + log_pref
-                        + math.lgamma(z0p + 1) - math.lgamma(d_q0 + 1)
-                        - math.lgamma(d_p0 + 1) - math.lgamma(z0p - d_q0 - d_p0 + 1)
-                        + math.lgamma(z1p + 1) - math.lgamma(d_q1 + 1) - math.lgamma(z1p - d_q1 + 1)
-                        + math.lgamma(z2p + 1) - math.lgamma(d_q2 + 1) - math.lgamma(z2p - d_q2 + 1)
-                        + math.log(d_q0) - math.log(z1)
-                        + math.log(float(coeff))
-                    )
-                    key = (dz1, dz2)
-                    out[key] = out.get(key, 0.0) + math.exp(log_term)
-    return KernelDistribution(out)
+    states = [_exact_state(p, tau, n)[:2] for p in profiles]
+    tau = int(tau)
+    out = [KernelDistribution({(0, 0): 1.0}) for _ in states]
+    live = [i for i, (z1, _) in enumerate(states) if z1 != 0]
+    if not live:
+        return out
+    z1, z2 = np.array([states[i] for i in live], dtype=np.int64).T
+    S = (n - tau) * l
+    s = S - z1
+    bad = _empty_class(z1, z2, s, m)
+    if bad.any():
+        raise ValueError(f"infeasible profile {states[live[int(np.argmax(bad))]]} at tau={tau}")
+    keys, starts, ints, log_w = _moves(l)
+    dz1, dz2, d_q0, d_out2 = ints.T
+    t_lo = max(int(z2.min()) - (l - 1), 0)
+    band = log_coeff_band(t_lo, int(z2.max()), S)
+    lf = _log_factorials(max(S, m))
+    z1c, z2c = z1[:, None], z2[:, None]
+    s_next = S - l - (z1c + dz1)
+    ok = (z1c >= d_q0) & (z2c >= d_out2) & (s_next >= 0)
+    lc_next = np.where(ok, band[np.where(ok, z2c + dz2 - t_lo, 0), np.where(ok, s_next, 0)],
+                       -np.inf)
+    log_state = band[z2 - t_lo, s] + np.log(z1) - lf[z1] - lf[z2]
+    log_term = (lc_next - lf[np.where(ok, z1c - d_q0, 0)] - lf[np.where(ok, z2c - d_out2, 0)]
+                - log_state[:, None] + (math.log(n - tau) + lf[S - l] - lf[S]) + log_w)
+    probs = np.add.reduceat(np.exp(log_term), starts, axis=1).tolist()
+    present = np.logical_or.reduceat(lc_next > -np.inf, starts, axis=1).tolist()
+    for i, row, hit in zip(live, probs, present):
+        out[i] = KernelDistribution({k: p for k, p, h in zip(keys, row, hit) if h})
+    return out
 
 
-# --- chain simulation ---
-
-
-@dataclass(frozen=True)
-class ChainRecord:
-    profiles: np.ndarray   # (n+1, 2)
-    stop_time: int         # first tau with z1 <= 0 (n if never)
-    min_z1: int
-
-
-@lru_cache(maxsize=4096)
-def _w_exact_arrays(z1: int, z2: int, tau: int, params: EnsembleParams):
-    inc, p = w_exact((z1, z2), tau, params).arrays()
-    inc.flags.writeable = p.flags.writeable = False
-    return inc, p
-
-
-def simulate_chain(params: EnsembleParams, rng: np.random.Generator) -> ChainRecord:
-    """Iterate the exact kernel from a sampled initial profile; the chain
-    absorbs at z1 = 0."""
-    n = params.n
-    prof = degree_profile(sample_uniform(params, rng))
-    z = np.array([prof.z1, prof.z2], dtype=np.int64)
-    profiles = np.empty((n + 1, 2), dtype=np.int64)
-    profiles[0] = z
-    stop = n if z[0] > 0 else 0
-    min_z1 = int(z[0])
-    for tau in range(n):
-        if z[0] == 0:
-            profiles[tau + 1] = z
-            continue
-        inc, p = _w_exact_arrays(int(z[0]), int(z[1]), tau, params)
-        j = rng.choice(len(p), p=p / p.sum())
-        z = z + inc[j]
-        profiles[tau + 1] = z
-        min_z1 = min(min_z1, int(z[0]))
-        if z[0] <= 0 and stop == n:
-            stop = tau + 1
-    return ChainRecord(profiles, stop, min_z1)
+def w_exact(profile, tau: int, params: EnsembleParams) -> KernelDistribution:
+    """Exact one-step kernel at profile z = (z1, z2) and step tau: the one-state
+    slice of w_exact_states."""
+    return w_exact_states([profile], tau, params)[0]
 
 
 # --- conditional-ensemble sampler (empirical oracle for the exact kernel) ---
@@ -392,68 +376,54 @@ def sample_conditional_steps(profile, tau: int, params: EnsembleParams,
     vertex at a time; sockets are matched by a uniform shuffle.  Both stages are
     exchangeable over vertex labels, so fixing the class layout is harmless.
     """
-    z1, z2 = int(profile[0]), int(profile[1])
+    n, l = params.n, params.l
+    z1, z2, tau = _exact_state(profile, tau, n)
     if z1 <= 0:
         raise ValueError("conditional stepping needs z1 >= 1")
-    n, m, l = params.n, params.m, params.l
     S = (n - tau) * l
     s_deg2 = S - z1
     if log_ensemble_count((z1, z2), tau, params) == -np.inf:
         raise ValueError("infeasible profile")
-    lf = _log_factorials(S)
-    rows = np.array(list(_log_coeff_columns(z2, S))).T     # rows[t][s], t = 0..z2
+    # stage-1 CDF per (t, s_rem = 2t + e), t vertices left: only e <= s_deg2 - 2 z2
+    # is reachable, and a degree k > e + 2 has probability 0
+    extra = s_deg2 - 2 * z2
+    ks = np.arange(2, extra + 3)
+    if z2:
+        lf = _log_factorials(S)
+        rows = log_coeff_band(0, z2, s_deg2)                # rows[t][s], t = 0..z2
+        t = np.arange(1, z2 + 1)[:, None, None]
+        s_rem = 2 * t + np.arange(extra + 1)[None, :, None]
+        idx = s_rem - ks
+        logp = np.where(idx >= 0, rows[t - 1, np.clip(idx, 0, None)], -np.inf)
+        logp = logp - lf[ks] - rows[t, s_rem]
+        cdf = np.cumsum(np.exp(logp), axis=2)                # (z2, extra + 1, extra + 1)
     out = np.empty((reps, 2), dtype=np.int64)
-    done = 0
-    while done < reps:
+    nclass = z1 + z2
+    for done in range(0, reps, _STEP_CHUNK):
         R = min(_STEP_CHUNK, reps - done)
-        # stage 1: degree vector for the z2 class, sequential DP inversion
-        degs = np.zeros((R, max(z2, 1)), dtype=np.int64)
+        # stage 1: class degrees, 1 for [0, z1); the z2 class by sequential DP inversion
+        old = np.ones((R, nclass), dtype=np.int64)
         s_rem = np.full(R, s_deg2, dtype=np.int64)
         for j in range(z2):
             t = z2 - j          # this vertex plus the ones still to draw
-            kmax = s_deg2 - 2 * (t - 1)
-            ks = np.arange(2, kmax + 1)
-            idx = s_rem[:, None] - ks[None, :]
-            valid = idx >= 0
-            logp = np.where(valid, rows[t - 1][np.clip(idx, 0, S)], -np.inf)
-            logp = logp - lf[ks][None, :] - rows[t][s_rem][:, None]
-            pr = np.exp(logp)
-            cdf = np.cumsum(pr, axis=1)
-            u = rng.random(R) * cdf[:, -1]
-            pick = (cdf < u[:, None]).sum(axis=1)
-            k = ks[np.minimum(pick, len(ks) - 1)]
-            degs[:, j] = k
+            rowsel = cdf[t - 1][s_rem - 2 * t]
+            u = rng.random(R) * rowsel[:, -1]
+            old[:, z1 + j] = k = ks[(rowsel < u[:, None]).sum(axis=1)]
             s_rem -= k
-        # stage 2: socket multiset (ids: [0, z1) degree 1, [z1, z1+z2) the drawn degrees)
-        sockets = np.empty((R, S), dtype=np.int64)
-        sockets[:, :z1] = np.arange(z1)
-        if z2:
-            starts = np.cumsum(degs, axis=1) - degs
-            posn = np.arange(s_deg2)
-            sockets[:, z1:] = z1 - 1 + (posn[None, None, :] >= starts[:, :, None]).sum(axis=1)
+        # stage 2: socket multiset, vertex i repeated old[:, i] times, then shuffled
+        sockets = np.repeat(np.tile(np.arange(nclass), R), old.ravel()).reshape(R, S)
         sockets = rng.permuted(sockets, axis=1)
         # stage 3: one peel step -- delete the v-node holding a uniform leaf
         leaf = rng.integers(0, z1, R)
-        pos = np.argmax(sockets == leaf[:, None], axis=1)
-        v = pos // l
-        cols = v[:, None] * l + np.arange(l)[None, :]
-        hit = np.take_along_axis(sockets, cols, axis=1)        # (R, l) vertex ids
-        nclass = z1 + z2
-        mult = np.bincount(
-            (hit + (np.arange(R, dtype=np.int64) * nclass)[:, None]).ravel(),
-            minlength=R * nclass,
-        ).reshape(R, nclass)
-        old = np.empty((R, nclass), dtype=np.int64)
-        old[:, :z1] = 1
-        if z2:
-            old[:, z1:] = degs
+        v = np.argmax(sockets == leaf[:, None], axis=1) // l
+        hit = np.take_along_axis(sockets, v[:, None] * l + np.arange(l), axis=1)  # (R, l) ids
+        mult = np.bincount((hit + nclass * np.arange(R)[:, None]).ravel(),
+                           minlength=R * nclass).reshape(R, nclass)
         new = old - mult
         was2 = old >= 2
-        dz1 = -((old == 1) & (mult == 1)).sum(axis=1) + (was2 & (new == 1)).sum(axis=1)
-        dz2 = -(was2 & (new <= 1)).sum(axis=1)
-        out[done:done + R, 0] = dz1
-        out[done:done + R, 1] = dz2
-        done += R
+        out[done:done + R, 0] = (-((old == 1) & (mult == 1)).sum(axis=1)
+                                 + (was2 & (new == 1)).sum(axis=1))
+        out[done:done + R, 1] = -(was2 & (new <= 1)).sum(axis=1)
     return out
 
 
@@ -475,15 +445,18 @@ def default_state_grid(l: int = 3, rho: float = 1.2218):
 
 def kernel_max_discrepancy(n: int, rho: float, l: int = 3) -> float:
     """D(n): max entrywise |w_exact - w_hat| over default_state_grid(l, rho), with
-    the profile z = round(n x) and step tau = round(n theta) at m = round(n rho)."""
+    the profile z = round(n x) and step tau = round(n theta) at m = round(n rho).
+    The states of one step share one coefficient band (w_exact_states)."""
     params = EnsembleParams(l, n, int(round(n * rho)))
-    worst = 0.0
+    by_tau = {}
     for x1, x2, theta in default_state_grid(l, rho):
-        tau = int(round(n * theta))
-        z1, z2 = int(round(n * x1)), int(round(n * x2))
-        exact = w_exact((z1, z2), tau, params)
-        approx = w_hat((z1 / n, z2 / n), tau / n, params)
-        keys = set(exact.probs) | set(approx.probs)
-        d = max(abs(exact.probs.get(k, 0.0) - approx.probs.get(k, 0.0)) for k in keys)
-        worst = max(worst, d)
+        by_tau.setdefault(int(round(n * theta)), []).append(
+            (int(round(n * x1)), int(round(n * x2))))
+    worst = 0.0
+    for tau, zs in by_tau.items():
+        for (z1, z2), exact in zip(zs, w_exact_states(zs, tau, params)):
+            approx = w_hat((z1 / n, z2 / n), tau / n, params)
+            keys = set(exact.probs) | set(approx.probs)
+            d = max(abs(exact.probs.get(k, 0.0) - approx.probs.get(k, 0.0)) for k in keys)
+            worst = max(worst, d)
     return worst

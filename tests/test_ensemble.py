@@ -63,7 +63,6 @@ def test_infeasible_profiles_are_empty():
     assert log_ensemble_count((0, 0), 0, params) == -np.inf
     assert log_ensemble_count((5, 0), 0, params) == -np.inf      # z0 < 0
     assert log_ensemble_count((0, 3), 1, params) == -np.inf      # mass 3 < 2*z2
-    assert log_ensemble_count((2, 1), 3, params) == -np.inf      # tau > n
     # all-degree-1 profile is feasible and counted exactly: nl = 6 > m = 3 makes
     # it empty here, but at m = 6 it is 6! orderings
     params6 = EnsembleParams(3, 2, 6)

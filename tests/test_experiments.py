@@ -260,6 +260,18 @@ def test_core_prob_rejects_graphs_past_the_peel_id_range(tmp_path, monkeypatch, 
         run_core_prob(_tiny_cfg("core-prob", tmp_path, **grid))
 
 
+def test_core_prob_refuses_a_block_past_the_memory_bound(tmp_path, monkeypatch):
+    # r = -1e4 at m = 60 is n = 6.7e7 edges: inside the id range for one
+    # replicate, but a 1.6 GB int64 socket table
+    def no_draw(task):
+        raise AssertionError("a block was sampled")
+
+    monkeypatch.setattr(experiments, "_block", no_draw)
+    with pytest.raises(ValueError, match="bound"):
+        cli.main(["core-prob", "--m-list", "60", "--r-list=-10000", "--reps", "1",
+                  "--out-dir", str(tmp_path)])
+
+
 def test_blocks_rejects_nonpositive_block():
     assert _blocks(5, 2) == [(0, 2), (1, 2), (2, 1)]
     for block in (0, -1):

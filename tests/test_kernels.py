@@ -5,15 +5,18 @@ tables (with exact Fraction weights over leaf choices), independent of the
 counting-based kernel implementation.
 """
 
+import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from peelcore.ensemble import EnsembleParams, sample_uniform
+from peelcore import ensemble
+from peelcore.ensemble import EnsembleParams, degree_profile, log_ensemble_count, sample_uniform
 from peelcore.kernels import (
     f0_eval,
     f1_eval,
@@ -24,9 +27,9 @@ from peelcore.kernels import (
     psi_eval,
     psi_prime,
     sample_conditional_steps,
-    simulate_chain,
     solve_lambda,
     w_exact,
+    w_exact_states,
     w_hat,
 )
 from peelcore.peeling import peel
@@ -111,6 +114,38 @@ def test_exact_kernel_rejects_infeasible():
     params = EnsembleParams(3, 2, 3)
     with pytest.raises(ValueError):
         w_exact((1, 0), 0, params)
+
+
+@pytest.mark.parametrize("profile,tau", [
+    ((2.7, 1), 0), ((2, 1.5), 0), ((2, 1), 0.5), ((0, 5), 99), ((2, 1), 5), ((2, 1), -1),
+])
+def test_exact_layer_rejects_garbage_inputs(profile, tau):
+    # a non-integral entry used to be truncated, a step past n used to give
+    # the identity kernel or an empty class
+    params = EnsembleParams(3, 4, 5)
+    calls = (
+        lambda: w_exact(profile, tau, params),
+        lambda: log_ensemble_count(profile, tau, params),
+        lambda: sample_conditional_steps(profile, tau, params, 10,
+                                         np.random.default_rng(0)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="integers|outside"):
+            call()
+
+
+def test_array_kernel_matches_per_state_kernel():
+    # every feasible state at one step, absorbed ones included, through one band
+    params = EnsembleParams(3, 12, 15)
+    tau = 3
+    states = [(z1, z2) for z1 in range(16) for z2 in range(16 - z1)
+              if log_ensemble_count((z1, z2), tau, params) > -np.inf]
+    assert len(states) > 100
+    for z, law in zip(states, w_exact_states(states, tau, params)):
+        single = w_exact(z, tau, params).probs
+        assert set(law.probs) == set(single)
+        for k, v in single.items():
+            assert law.probs[k] == pytest.approx(v, rel=1e-14, abs=0.0)
 
 
 def test_kernels_normalized_without_renormalization_n12():
@@ -301,6 +336,39 @@ def test_exact_kernel_matches_conditional_resampling():
     assert res.pvalue > 1e-3
 
 
+# SHA-256 of the int64 bytes of the draws below, from the per-draw stage-1
+# arithmetic that the tabulated degree draw replaced
+C05_STEPS_SHA256 = "7e6ccae0cb90bb230a6ada39057cbf81b6411c26939322196febf59feb3fbe4c"
+
+
+def test_conditioned_steps_pinned_at_c05_state():
+    # c05's exact inputs; no RuntimeWarning may escape the table
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = sample_conditional_steps((7, 9), 3, EnsembleParams(3, 20, 24), 100_000,
+                                         np.random.default_rng(52005))
+    assert draws.dtype == np.int64 and draws.shape == (100_000, 2)
+    assert hashlib.sha256(np.ascontiguousarray(draws).tobytes()).hexdigest() == C05_STEPS_SHA256
+
+
+def _exact_chain(params, rng):
+    """Profiles (n + 1, 2) of the chain driven by w_exact from a sampled initial
+    profile, absorbed at z1 = 0, and its stop time (first tau with z1 <= 0, n if
+    never)."""
+    prof = degree_profile(sample_uniform(params, rng))
+    z = np.array([prof.z1, prof.z2], dtype=np.int64)
+    profiles = [z]
+    stop = params.n if z[0] > 0 else 0
+    for tau in range(params.n):
+        if z[0] != 0:
+            inc, p = w_exact(z, tau, params).arrays()
+            z = z + inc[rng.choice(len(p), p=p / p.sum())]
+            if z[0] <= 0 and stop == params.n:
+                stop = tau + 1
+        profiles.append(z)
+    return np.array(profiles), stop
+
+
 def test_exact_chain_matches_graph_peel():
     # the profile chain driven by the exact kernel reproduces the law of the
     # graph peel: compare stop times and mid-path profiles
@@ -312,9 +380,8 @@ def test_exact_chain_matches_graph_peel():
     mid_chain = np.empty(reps)
     mid_graph = np.empty(reps)
     for i in range(reps):
-        rec = simulate_chain(params, rng)
-        stops_chain[i] = rec.stop_time
-        mid_chain[i] = rec.profiles[5, 0]
+        profiles, stops_chain[i] = _exact_chain(params, rng)
+        mid_chain[i] = profiles[5, 0]
         traj = peel(sample_uniform(params, rng), rng)
         stops_graph[i] = traj.stop_time
         mid_graph[i] = traj.profiles[5, 0]
@@ -334,6 +401,26 @@ def test_exact_kernel_deep_state_normalized(tau):
     _, probs = w_exact((150, 800), tau, EnsembleParams(3, 1000, 1222)).arrays()
     assert np.all(np.isfinite(probs))
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("tau", [0, 300])
+def test_deep_kernel_makes_one_coefficient_pass(monkeypatch, tau):
+    # rows z2 - 2 .. z2 at s <= (n - tau) l all come from one column pass
+    passes = []
+    columns = ensemble._log_coeff_columns
+
+    def counted(t, s_max):
+        passes.append((t, s_max))
+        return columns(t, s_max)
+
+    monkeypatch.setattr(ensemble, "_log_coeff_columns", counted)
+    ensemble.log_coeff_rows.cache_clear()
+    S = (1000 - tau) * 3
+    w_exact((150, 800), tau, EnsembleParams(3, 1000, 1222))
+    assert passes == [(800, S)]
+    band = ensemble.log_coeff_band(798, 800, S)
+    for t in (798, 799, 800):
+        assert np.array_equal(band[t - 798], ensemble.log_coeff_rows(t, S))
 
 
 def test_discrepancy_ladder_slope():
