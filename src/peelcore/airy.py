@@ -165,7 +165,14 @@ def mc_parabolic_min(reps: int, rng: np.random.Generator,
                      horizon: float = 5.0, dt: float = 1e-3,
                      chunk: int = 250) -> np.ndarray:
     """Sample min over [-T, T] of t^2/2 + W(t) on a grid, with the conditional
-    within-cell Brownian-bridge minimum so the discretization bias is tiny."""
+    within-cell Brownian-bridge minimum so the discretization bias is tiny.
+    Raises ValueError, before any draw, for chunk < 1, dt <= 0 or horizon < dt."""
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    if not dt > 0.0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    if not horizon >= dt:
+        raise ValueError(f"horizon must be >= dt = {dt}, got {horizon}")
     n_steps = int(round(horizon / dt))
     ts = np.arange(1, n_steps + 1) * dt
     drift = 0.5 * ts * ts

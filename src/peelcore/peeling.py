@@ -138,9 +138,10 @@ def batch_core_mask(sockets: np.ndarray, m: int) -> np.ndarray:
     the killed sockets plus a fixed cost per step, and a finished replicate
     costs nothing.  The fixpoint is each replicate's 2-core.
 
-    Raises ValueError for a socket outside [0, m), which would otherwise alias
-    into a neighbouring replicate's vertices, and when R*m or R*n*l reaches
-    2**31, past which the int32 vertex and edge ids would wrap.
+    Raises ValueError for a non-integer socket table, which the int32 cast
+    would silently truncate, for a socket outside [0, m), which would
+    otherwise alias into a neighbouring replicate's vertices, and when R*m or
+    R*n*l reaches 2**31, past which the int32 vertex and edge ids would wrap.
     """
     peel = _FrontierPeel(sockets, m)
     return peel.alive.reshape(peel.shape[:2])
@@ -168,6 +169,8 @@ class _FrontierPeel:
     def __init__(self, sockets: np.ndarray, m: int):
         R, n, l = self.shape = sockets.shape
         check_id_range(R, n, l, m)
+        if not np.issubdtype(sockets.dtype, np.integer):
+            raise ValueError(f"sockets must have an integer dtype, got {sockets.dtype}")
         if sockets.size:
             lo, hi = sockets.min(), sockets.max()
             if lo < 0 or hi >= m:

@@ -13,6 +13,7 @@ from peelcore.airy import omega_integral
 
 @pytest.fixture(scope="session")
 def cc3():
+    # ten times finer than the default step: the reference the default is checked against
     return critical_constants(3, h=1e-4)
 
 

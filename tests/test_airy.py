@@ -203,3 +203,18 @@ def test_mc_minimum_smoke():
     res = stats.ks_1samp(z, lambda t: cdf_Z(t))
     assert res.statistic < 0.05
     assert -z.mean() == pytest.approx(FROZEN_OMEGA, abs=0.05)
+
+
+class _NoDraws:
+    """An rng whose every draw fails, so a bad argument cannot reach sampling."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} used before the arguments were checked")
+
+
+@pytest.mark.parametrize("kw", [{"chunk": 0}, {"chunk": -3}, {"dt": 0.0},
+                                {"dt": -1e-3}, {"dt": float("nan")},
+                                {"horizon": 5e-4}, {"horizon": 0.0}], ids=str)
+def test_mc_minimum_rejects_bad_arguments_before_drawing(kw):
+    with pytest.raises(ValueError, match="must be"):
+        mc_parabolic_min(10, _NoDraws(), **kw)

@@ -10,6 +10,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import peelcore
 from peelcore import cli, experiments
 from peelcore.experiments import (
     CSV_HEADER,
@@ -350,11 +351,19 @@ def test_cli_predict_in_process(capsys):
     assert 0.5 < float(vals["p_shifted"]) < 1.0
 
 
+def _checkout_env():
+    """The environment with the imported peelcore's directory first on
+    PYTHONPATH, so a subprocess runs this checkout, installed or not."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(peelcore.__file__)))
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": root + (os.pathsep + rest if rest else "")}
+
+
 def test_cli_constants_subprocess():
-    # the installed entry point, without the slow omega table
+    # the module entry point, without the slow omega table
     res = subprocess.run(
         [sys.executable, "-m", "peelcore.cli", "constants", "--l", "3"],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=_checkout_env())
     assert res.returncode == 0
     vals = dict(line.split(" = ") for line in res.stdout.splitlines())
     assert float(vals["rho_c"]) == pytest.approx(1.2217931327672212, rel=1e-12)
@@ -384,7 +393,7 @@ def test_cli_kernel_check_subprocess():
     res = subprocess.run(
         [sys.executable, "-m", "peelcore.cli", "kernel-check",
          "--n-list", "20,40"],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=_checkout_env())
     assert res.returncode == 0
     out = res.stdout
     assert "D(20)" in out and "D(40)" in out and "ratio" in out

@@ -17,6 +17,7 @@ from peelcore.kernels import p_triple, w_hat
 from peelcore.ode import (
     _A_any,
     _dF1_dtheta,
+    _grid,
     _y_formula,
     critical_constants,
     critical_point,
@@ -226,6 +227,35 @@ def test_solve_Q_solves_the_tilt_once_per_stage(monkeypatch):
     monkeypatch.setattr(kernels, "solve_lambda", counted)
     sol = solve_Q(1.3, 3, h=1e-3)
     assert len(calls) == 4 * (len(sol.thetas) - 1)
+
+
+def test_cold_critical_constants_solves_the_tilt_at_the_default_step(monkeypatch):
+    calls = []
+    real = kernels.solve_lambda
+
+    def counted(xi):
+        calls.append(xi)
+        return real(xi)
+
+    monkeypatch.setattr(kernels, "solve_lambda", counted)
+    critical_point.cache_clear()
+    critical_constants(3)
+    _, theta_c, _ = critical_point(3)
+    stages = len(_grid(theta_c, 1e-3)) - 1
+    # four solves per RK4 stage, plus O(1): the two at the critical state and
+    # the one-sided differences of the few stages beside the kink at x1 = 0
+    assert len(calls) <= 4 * stages + 50
+
+
+@pytest.mark.parametrize("l", [3, 4, 5, 6])
+def test_critical_constants_default_step_matches_fine_step(l, cc3):
+    fine = cc3 if l == 3 else critical_constants(l, h=1e-4)
+    cc = critical_constants(l)
+    for k in ("Q11c", "alpha", "beta"):
+        assert getattr(cc, k) == pytest.approx(getattr(fine, k), rel=1e-10)
+    # the rest comes from closed forms and the critical state, not from the ODE
+    for k in ("rho_c", "theta_c", "u2", "F_tilde", "G_tilde", "dy1_drho"):
+        assert getattr(cc, k) == getattr(fine, k)
 
 
 def test_solver_validation():

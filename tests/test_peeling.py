@@ -204,6 +204,19 @@ def test_batch_onset_rejects_out_of_range_socket(bad):
         batch_onset_edge_counts(streams, 4)
 
 
+@pytest.mark.parametrize("call", [
+    lambda s: batch_core_mask(s, 4),
+    lambda s: batch_onset_edge_counts(s, 4),
+    lambda s: core_of(Hypergraph(EnsembleParams(3, 5, 4), s[0])),
+], ids=["batch_core_mask", "batch_onset_edge_counts", "core_of"])
+def test_peel_entry_points_reject_float_sockets(call):
+    # in range [0, 4), so only the dtype check can refuse the table; the int32
+    # cast would read vertex 2.7 as vertex 2
+    sockets = np.random.default_rng(7).uniform(0.0, 4.0, size=(2, 5, 3))
+    with pytest.raises(ValueError, match="integer dtype"):
+        call(sockets)
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_core_fixpoint_property(seed):
