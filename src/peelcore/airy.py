@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +78,11 @@ def _y_max(w: float) -> float:
 
 def kernel_K(z: float) -> float:
     """P(one-sided parabola-plus-Brownian path stays above -z); K(0) = 0,
-    K(inf) = 1.  Double precision reliable for z <= 6."""
-    if z < 0.0:
-        raise ValueError("kernel K defined for z >= 0")
-    if z > 6.0:
+    K(inf) = 1.  Double precision reliable for z <= 6; ValueError for z outside
+    [0, 6], NaN included."""
+    if not z >= 0.0:
+        raise ValueError(f"kernel K defined for z >= 0, got {z}")
+    if not z <= 6.0:
         raise ValueError(f"kernel K is reliable only for z <= 6, got {z}")
     if z == 0.0:
         return 0.0
@@ -166,7 +168,10 @@ def mc_parabolic_min(reps: int, rng: np.random.Generator,
                      chunk: int = 250) -> np.ndarray:
     """Sample min over [-T, T] of t^2/2 + W(t) on a grid, with the conditional
     within-cell Brownian-bridge minimum so the discretization bias is tiny.
-    Raises ValueError, before any draw, for chunk < 1, dt <= 0 or horizon < dt."""
+    Raises ValueError, before any draw, for reps not an integer >= 0, chunk < 1,
+    dt <= 0 or horizon < dt."""
+    if not isinstance(reps, numbers.Integral) or reps < 0:
+        raise ValueError(f"reps must be an integer >= 0, got {reps!r}")
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     if not dt > 0.0:

@@ -3,12 +3,16 @@
 Exact finite-n kernel (ratio of ensemble counts times an explicit transition
 count, summed over a small integer simplex) and its large-n multinomial
 approximation, plus the conditional-ensemble sampler used to validate the exact
-kernel empirically.
+kernel empirically.  The sampler is an independent oracle: it simulates the
+degrees and the matching and reads nothing of the exact kernel's moves or
+weights.  Its peel step draws only the v-node holding the leaf: a uniform
+(l - 1)-subset of the other sockets, the exact marginal of a uniform matching.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -112,7 +116,7 @@ def solve_lambda(xi: float) -> float:
     localize and safeguarded Newton to finish; accepts a hair below 2
     (rounding) and rejects anything lower.
     """
-    if xi < 2.0:
+    if not xi >= 2.0:
         if xi > 2.0 - 1e-9:
             xi = 2.0
         else:
@@ -184,7 +188,7 @@ class ProbTriple:
 
     def __post_init__(self):
         s = self.p0 + self.p1 + self.p2
-        if abs(s - 1.0) > 1e-12:
+        if not abs(s - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {s}, not 1")
 
 
@@ -195,16 +199,16 @@ def p_triple(x, theta: float, l: int) -> ProbTriple:
     p1 = x2 psi(lam)/L, p2 = x2 lam/L.  For x2 below tolerance the continuous
     limit p1 = 0, p2 = 1 - p0 is used.
     """
-    if theta >= 1.0:
-        raise ValueError("theta must be < 1")
+    if not theta < 1.0:
+        raise ValueError(f"theta must be < 1, got {theta}")
     L = l * (1.0 - theta)
     x1 = max(float(x[0]), 0.0)
     x2 = float(x[1])
-    if x2 < 0.0:
-        raise ValueError("x2 must be >= 0")
+    if not x2 >= 0.0:
+        raise ValueError(f"x2 must be >= 0, got {x2}")
     p0 = x1 / L
-    if p0 > 1.0 + 1e-12:
-        raise ValueError("x1 exceeds the feasible slab; project first")
+    if not p0 <= 1.0 + 1e-12:
+        raise ValueError(f"x1 = {x1} exceeds the feasible slab; project first")
     p0 = min(p0, 1.0)
     if x2 < 1e-12 * L:
         return ProbTriple(p0, 0.0, 1.0 - p0, math.inf)
@@ -364,7 +368,30 @@ def w_exact(profile, tau: int, params: EnsembleParams) -> KernelDistribution:
 # --- conditional-ensemble sampler (empirical oracle for the exact kernel) ---
 
 
-_STEP_CHUNK = 20000     # conditioned draws per vectorized pass
+_STEP_CHUNK = 5000      # conditioned draws per vectorized pass; keeps the (R, W)
+                        # stage-1 gather cache-resident
+
+
+def _partner_slots(S: int, l: int, R: int, rng: np.random.Generator) -> np.ndarray:
+    """(R, l - 1) distinct slots of range(S - 1) per row, a uniform (l - 1)-subset
+    by Floyd's algorithm: slot j joins unless its draw t <= j is already taken."""
+    slots = np.empty((R, l - 1), dtype=np.int64)
+    for i, j in enumerate(range(S - l, S - 1)):
+        t = rng.integers(0, j + 1, R)
+        slots[:, i] = np.where((slots[:, :i] == t[:, None]).any(axis=1), j, t)
+    return slots
+
+
+def _delete_leaf_vnode(old: np.ndarray, leaf: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """(R, nclass) degrees after deleting the v-node of each row's leaf socket.
+
+    The sockets other than the leaf's are numbered 0..S-2 in vertex order; slot s
+    belongs to the vertex whose running degree cumsum first exceeds s.
+    """
+    deg = old.copy()
+    deg[np.arange(len(old)), leaf] -= 1
+    below = (slots[:, :, None] < np.cumsum(deg, axis=1)[:, None, :]).sum(axis=1)
+    return deg - np.diff(below, axis=1, prepend=0)
 
 
 def sample_conditional_steps(profile, tau: int, params: EnsembleParams,
@@ -373,9 +400,15 @@ def sample_conditional_steps(profile, tau: int, params: EnsembleParams,
     at step tau uniformly, apply one peel step to each draw.
 
     Degrees of the degree->=2 class are drawn by inverting the counting DP one
-    vertex at a time; sockets are matched by a uniform shuffle.  Both stages are
+    vertex at a time.  Under a uniform matching a uniform leaf's socket sits in
+    a uniform v-node whose other l - 1 sockets are a uniform draw without
+    replacement from the other S - 1 sockets, so only those are drawn: the
+    exact marginal of a full shuffle, by exchangeability.  Both stages are
     exchangeable over vertex labels, so fixing the class layout is harmless.
+    ValueError for reps not an integer >= 0, before any draw.
     """
+    if not isinstance(reps, numbers.Integral) or reps < 0:
+        raise ValueError(f"reps must be an integer >= 0, got {reps!r}")
     n, l = params.n, params.l
     z1, z2, tau = _exact_state(profile, tau, n)
     if z1 <= 0:
@@ -410,18 +443,11 @@ def sample_conditional_steps(profile, tau: int, params: EnsembleParams,
             u = rng.random(R) * rowsel[:, -1]
             old[:, z1 + j] = k = ks[(rowsel < u[:, None]).sum(axis=1)]
             s_rem -= k
-        # stage 2: socket multiset, vertex i repeated old[:, i] times, then shuffled
-        sockets = np.repeat(np.tile(np.arange(nclass), R), old.ravel()).reshape(R, S)
-        sockets = rng.permuted(sockets, axis=1)
-        # stage 3: one peel step -- delete the v-node holding a uniform leaf
+        # stage 2: one peel step -- delete the v-node holding a uniform leaf
         leaf = rng.integers(0, z1, R)
-        v = np.argmax(sockets == leaf[:, None], axis=1) // l
-        hit = np.take_along_axis(sockets, v[:, None] * l + np.arange(l), axis=1)  # (R, l) ids
-        mult = np.bincount((hit + nclass * np.arange(R)[:, None]).ravel(),
-                           minlength=R * nclass).reshape(R, nclass)
-        new = old - mult
+        new = _delete_leaf_vnode(old, leaf, _partner_slots(S, l, R, rng))
         was2 = old >= 2
-        out[done:done + R, 0] = (-((old == 1) & (mult == 1)).sum(axis=1)
+        out[done:done + R, 0] = (-((old == 1) & (new == 0)).sum(axis=1)
                                  + (was2 & (new == 1)).sum(axis=1))
         out[done:done + R, 1] = -(was2 & (new <= 1)).sum(axis=1)
     return out

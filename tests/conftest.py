@@ -22,6 +22,18 @@ def cc3_omega(cc3):
     return cc3.with_omega(omega_integral())
 
 
+class _NoDraws:
+    """An rng whose every draw fails, so a bad argument cannot reach sampling."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} used before the arguments were checked")
+
+
+@pytest.fixture
+def no_draws():
+    return _NoDraws()
+
+
 # ---------------------------------------------------------------------------
 # Acceptance reporting: each acceptance test appends "[cNN] PASS/FAIL - detail"
 # and the summary hook prints them all at the end of the run.

@@ -144,6 +144,8 @@ def test_kernel_rejects_z_beyond_reliable_range():
     assert kernel_K(6.0) == pytest.approx(FROZEN_K[6.0], abs=1e-8)
     with pytest.raises(ValueError):
         kernel_K(6.5)
+    with pytest.raises(ValueError):
+        kernel_K(math.nan)
 
 
 # --- tabulated minimum law ---
@@ -205,16 +207,14 @@ def test_mc_minimum_smoke():
     assert -z.mean() == pytest.approx(FROZEN_OMEGA, abs=0.05)
 
 
-class _NoDraws:
-    """An rng whose every draw fails, so a bad argument cannot reach sampling."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"rng.{name} used before the arguments were checked")
-
-
 @pytest.mark.parametrize("kw", [{"chunk": 0}, {"chunk": -3}, {"dt": 0.0},
                                 {"dt": -1e-3}, {"dt": float("nan")},
-                                {"horizon": 5e-4}, {"horizon": 0.0}], ids=str)
-def test_mc_minimum_rejects_bad_arguments_before_drawing(kw):
+                                {"horizon": 5e-4}, {"horizon": 0.0},
+                                {"reps": -1}, {"reps": 2.5}], ids=str)
+def test_mc_minimum_rejects_bad_arguments_before_drawing(kw, no_draws):
     with pytest.raises(ValueError, match="must be"):
-        mc_parabolic_min(10, _NoDraws(), **kw)
+        mc_parabolic_min(**{"reps": 10, "rng": no_draws, **kw})
+
+
+def test_mc_minimum_zero_reps_is_empty(no_draws):
+    assert mc_parabolic_min(0, no_draws).shape == (0,)

@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from scipy import stats
 from peelcore import ensemble
 from peelcore.ensemble import EnsembleParams, degree_profile, log_ensemble_count, sample_uniform
 from peelcore.kernels import (
+    ProbTriple,
+    _delete_leaf_vnode,
+    _partner_slots,
     f0_eval,
     f1_eval,
     f1_prime,
@@ -294,6 +298,19 @@ def test_p_triple_tilt_identity():
     assert p.p1 / p.p2 == pytest.approx(psi_eval(p.lam) / p.lam, rel=1e-10)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: solve_lambda(math.nan),
+    lambda: p_triple((0.3, 0.4), math.nan, 3),
+    lambda: p_triple((math.nan, 0.4), 0.1, 3),
+    lambda: p_triple((0.3, math.nan), 0.1, 3),
+    lambda: ProbTriple(math.nan, 0.5, 0.5, 0.0),
+], ids=["solve_lambda", "p_triple-theta", "p_triple-x1", "p_triple-x2", "ProbTriple"])
+def test_nan_inputs_are_rejected(call):
+    # each guard is the negation of its valid range, so NaN fails it
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_w_hat_corner_point_masses():
     params = EnsembleParams(3, 10, 12)
     L = 3.0
@@ -316,10 +333,14 @@ def test_w_hat_mean_formula():
 # --- exact kernel vs conditional resampling, and chain vs graph peel ---
 
 
-def test_exact_kernel_matches_conditional_resampling():
-    params = EnsembleParams(3, 15, 18)
-    z, tau = (6, 7), 2
-    rng = np.random.default_rng(31)
+@pytest.mark.parametrize("l,n,m,z,tau,seed", [
+    (3, 15, 18, (6, 7), 2, 31),
+    (4, 15, 20, (5, 8), 1, 41),
+    (6, 10, 14, (4, 5), 2, 61),
+], ids=["l3", "l4", "l6"])
+def test_exact_kernel_matches_conditional_resampling(l, n, m, z, tau, seed):
+    params = EnsembleParams(l, n, m)
+    rng = np.random.default_rng(seed)
     draws = sample_conditional_steps(z, tau, params, 8000, rng)
     law = w_exact(z, tau, params)
     inc, p = law.arrays()
@@ -336,9 +357,77 @@ def test_exact_kernel_matches_conditional_resampling():
     assert res.pvalue > 1e-3
 
 
-# SHA-256 of the int64 bytes of the draws below, from the per-draw stage-1
-# arithmetic that the tabulated degree draw replaced
-C05_STEPS_SHA256 = "7e6ccae0cb90bb230a6ada39057cbf81b6411c26939322196febf59feb3fbe4c"
+def _arrangements(counts):
+    """Every distinct sequence holding vertex i counts[i] times."""
+    if not any(counts):
+        yield ()
+        return
+    for i, c in enumerate(counts):
+        if c:
+            rest = list(counts)
+            rest[i] -= 1
+            for tail in _arrangements(rest):
+                yield (i,) + tail
+
+
+def test_leaf_vnode_draw_is_the_shuffle_marginal():
+    # no sampling: the increment law over every arrangement of the socket
+    # multiset and every leaf equals the law over every leaf and every ordered
+    # choice of l - 1 partner slots among the other S - 1 sockets
+    l, old = 3, (1, 1, 1, 2, 4)
+    z1, S = 3, sum(old)
+
+    def increment(new):
+        return (sum(b == 1 for b in new) - sum(a == 1 for a in old),
+                sum(b >= 2 for b in new) - sum(a >= 2 for a in old))
+
+    shuffle = Counter()
+    for arr in _arrangements(old):
+        for leaf in range(z1):
+            v = arr.index(leaf) // l
+            new = list(old)
+            for b in arr[v * l:(v + 1) * l]:
+                new[b] -= 1
+            shuffle[increment(new)] += 1
+    choices = [(leaf, slots) for leaf in range(z1)
+               for slots in itertools.permutations(range(S - 1), l - 1)]
+    leaves, slots = map(np.array, zip(*choices))
+    direct = Counter(increment(new) for new in
+                     _delete_leaf_vnode(np.tile(old, (len(choices), 1)), leaves, slots))
+    assert sum(shuffle.values()) == 7560 * z1
+    assert set(shuffle) == set(direct) and len(direct) > 2
+    for k in shuffle:
+        assert abs(shuffle[k] / sum(shuffle.values())
+                   - direct[k] / len(choices)) <= 1e-15
+
+
+@pytest.mark.parametrize("l", [3, 4])
+def test_partner_slots_are_a_uniform_subset(l):
+    # l - 1 distinct slots of range(S - 1), every subset equally likely
+    S, R = 7, 30_000
+    slots = _partner_slots(S, l, R, np.random.default_rng(70 + l))
+    assert slots.min() >= 0 and slots.max() <= S - 2
+    slots.sort(axis=1)
+    assert np.all(np.diff(slots, axis=1) > 0)
+    _, counts = np.unique(slots, axis=0, return_counts=True)
+    assert len(counts) == math.comb(S - 1, l - 1)
+    assert stats.chisquare(counts).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("reps", [-1, 2.5, "10"])
+def test_conditioned_steps_reject_bad_reps_before_drawing(reps, no_draws):
+    with pytest.raises(ValueError, match="reps"):
+        sample_conditional_steps((7, 9), 3, EnsembleParams(3, 20, 24), reps, no_draws)
+
+
+def test_conditioned_steps_zero_reps_is_empty(no_draws):
+    draws = sample_conditional_steps((7, 9), 3, EnsembleParams(3, 20, 24), 0, no_draws)
+    assert draws.dtype == np.int64 and draws.shape == (0, 2)
+
+
+# SHA-256 of the int64 bytes of the draws below, from the direct draw of the
+# leaf's v-node that replaced the full socket shuffle
+C05_STEPS_SHA256 = "3071663e584c96d0d4f18b838c6f5930d704661701a1e86974a330c4601ae0fe"
 
 
 def test_conditioned_steps_pinned_at_c05_state():
