@@ -1,6 +1,10 @@
 """peelcore: peeling experiments on random l-uniform hypergraphs, with the
 exact finite transition law, the fluid/diffusion limits, and the finite-size
 scaling predictions they imply.
+
+scipy loads on first use, inside the analytic functions that call it (`airy`,
+`ode`, `scaling`); the exact layer (`ensemble`, `kernels`, `peeling`) runs on
+numpy alone.
 """
 
 from .airy import airy_pair, cdf_Z, kernel_K, mc_parabolic_min, omega_integral

@@ -15,9 +15,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "AiryPair",
@@ -56,6 +53,7 @@ def airy_pair(zeta) -> AiryPair:
         p = airy_pair(z.conjugate())
         return AiryPair(p.ai.conjugate(), p.aip.conjugate(),
                         p.bi.conjugate(), p.bip.conjugate())
+    from scipy import special
     return AiryPair(*(complex(v) for v in special.airy(z)))
 
 
@@ -92,6 +90,7 @@ def kernel_K(z: float) -> float:
         b = _k_integrand(-ys, w)
         if abs(b - a.conjugate()) > 1e-9 * max(abs(a), 1e-12):
             raise RuntimeError("integrand symmetry check failed; contour unusable")
+    from scipy.integrate import quad
     ymax = _y_max(w)
     val, err = quad(lambda y: _k_integrand(y, w).real, 0.0, ymax, limit=200)
     if err > 1e-6:
@@ -114,6 +113,7 @@ class MinLawTables:
 
     @property
     def _pchip(self):
+        from scipy.interpolate import PchipInterpolator
         return PchipInterpolator(self.us, self.Ks)
 
     def cdf(self, z):
@@ -152,6 +152,8 @@ def cdf_Z(z) -> np.ndarray:
 def omega_integral() -> float:
     """Mean depth of the two-sided minimum: integral of 1 - K^2, grid part by
     monotone interpolation, the (~3e-7) tail from the fitted decay."""
+    from scipy.integrate import quad
+    from scipy.interpolate import PchipInterpolator
     tab = min_law_tables()
     pch = PchipInterpolator(tab.us, 1.0 - tab.Ks ** 2)
     head = pch.integrate(tab.us[0], tab.us[-1])

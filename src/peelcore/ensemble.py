@@ -9,6 +9,7 @@ so |G_l(n, m)| = m^(n*l) and degrees are counted with multiplicity.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -115,7 +116,10 @@ def sample_profiles(params: EnsembleParams, reps: int,
 
     The profile depends on the socket table only through the vertex degree counts,
     which are multinomial; sampling those directly is exact and much faster.
+    ValueError for reps not an integer >= 0, before any draw.
     """
+    if not isinstance(reps, numbers.Integral) or reps < 0:
+        raise ValueError(f"reps must be an integer >= 0, got {reps!r}")
     out = np.empty((reps, 2), dtype=np.int64)
     pvals = np.full(params.m, 1.0 / params.m)
     done = 0

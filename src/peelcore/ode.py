@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import bisect, brentq
 
 from .ensemble import initial_moments
 from .kernels import (
@@ -171,6 +170,7 @@ def theta_minus(rho: float, l: int) -> float:
 
     if rho >= rho_c or h(theta_c) >= 0.0:
         return 1.0
+    from scipy.optimize import brentq
     return brentq(h, 0.0, theta_c, xtol=1e-300)
 
 
@@ -187,6 +187,7 @@ def critical_point(l: int):
     lo, hi = 0.05, 1.0 - 1e-9
     if not (g(lo) > 0.0 > g(hi)):
         raise RuntimeError("double-root bracket failed")
+    from scipy.optimize import bisect
     u2 = bisect(g, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
     gamma_c = u2 ** (2 - l) / ((l - 1) * (1.0 - u2))
     rho_c = l / gamma_c

@@ -21,6 +21,7 @@ has finished.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,10 +210,20 @@ class _FrontierPeel:
 
 
 def is_stopping_set(H: Hypergraph, vset) -> bool:
-    """True iff every vertex touched by the v-nodes in vset is touched >= 2 times."""
-    idx = np.fromiter(vset, dtype=np.int64, count=len(vset)) if not isinstance(vset, np.ndarray) else vset
+    """True iff every vertex touched by the v-nodes in vset is touched >= 2 times.
+
+    vset is a set of v-node ids: ValueError for an id that is not an integer,
+    lies outside [0, n) or is repeated."""
+    ids = list(vset)
+    if not all(isinstance(i, numbers.Integral) for i in ids):
+        raise ValueError(f"v-node ids must be integers, got {vset!r}")
+    idx = np.array(ids, dtype=np.int64)
     if len(idx) == 0:
         return True
+    if idx.min() < 0 or idx.max() >= H.params.n:
+        raise ValueError(f"v-node ids must lie in [0, {H.params.n}), got {vset!r}")
+    if len(np.unique(idx)) < len(idx):
+        raise ValueError(f"v-node ids must be distinct, got {vset!r}")
     deg = np.bincount(H.sockets[idx].ravel(), minlength=H.params.m)
     return not np.any(deg == 1)
 

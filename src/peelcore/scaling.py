@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .ode import CriticalConstants
 
@@ -33,6 +32,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def std_normal_cdf(x):
+    from scipy.special import erfc
     x = np.asarray(x, dtype=float)
     out = 0.5 * erfc(-x / _SQRT2)
     return float(out) if out.ndim == 0 else out
@@ -129,7 +129,7 @@ def core_size_density(z, r: float, cc: CriticalConstants):
     window coordinate r; supported on z > 0."""
     z = np.asarray(z, dtype=float)
     rb = r / cc.alpha
-    tail = 1.0 - std_normal_cdf(rb)
+    tail = std_normal_cdf(-rb)
     out = np.where(z >= 0.0,
                    2.0 * np.maximum(z, 0.0)
                    * np.exp(-0.5 * (rb + z * z) ** 2) / (_SQRT_2PI * tail),
@@ -138,11 +138,17 @@ def core_size_density(z, r: float, cc: CriticalConstants):
 
 
 def core_size_cdf(z, r: float, cc: CriticalConstants):
+    """P(rb < X <= rb + z^2 | X > rb) for standard normal X, rb = r/alpha.
+
+    Each normal probability is taken in its small tail, so neither the
+    survival Phi(-rb) nor the numerator cancels for |r| of a few alpha."""
     z = np.asarray(z, dtype=float)
     rb = r / cc.alpha
-    lo = std_normal_cdf(rb)
-    out = np.where(z >= 0.0,
-                   (std_normal_cdf(rb + z * z) - lo) / (1.0 - lo),
-                   0.0)
+    z2 = z * z
+    if rb >= 0.0:
+        mass = std_normal_cdf(-rb) - std_normal_cdf(-rb - z2)
+    else:
+        mass = std_normal_cdf(rb + z2) - std_normal_cdf(rb)
+    out = np.where(z >= 0.0, mass / std_normal_cdf(-rb), 0.0)
     out = np.clip(out, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out

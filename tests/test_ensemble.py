@@ -170,6 +170,17 @@ def test_sample_profiles_matches_degree_profile_law():
         assert res.pvalue > 1e-3
 
 
+@pytest.mark.parametrize("reps", [-1, 2.5, "10"])
+def test_sample_profiles_rejects_bad_reps_before_drawing(reps, no_draws):
+    with pytest.raises(ValueError, match="reps"):
+        sample_profiles(EnsembleParams(3, 20, 24), reps, no_draws)
+
+
+def test_sample_profiles_zero_reps_is_empty(no_draws):
+    draws = sample_profiles(EnsembleParams(3, 20, 24), 0, no_draws)
+    assert draws.dtype == np.int64 and draws.shape == (0, 2)
+
+
 def test_initial_moments_frozen_values():
     # q-entries at l = 3, gamma = gamma_c, against an independent symbolic
     # evaluation of the closed forms

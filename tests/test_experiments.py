@@ -399,6 +399,22 @@ def test_cli_kernel_check_subprocess():
     assert "D(20)" in out and "D(40)" in out and "ratio" in out
 
 
+def test_exact_layer_does_not_load_scipy():
+    # scipy loads inside the analytic functions that call it, so the package,
+    # the CLI and an exact kernel check run on numpy alone
+    code = ("import sys, peelcore, peelcore.cli\n"
+            "peelcore.cli.main(['kernel-check', '--l', '3', '--rho', '1.2218',"
+            " '--n-list', '100'])\n"
+            "print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=300, env=_checkout_env())
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[0].startswith("D(100) = ")
+    assert lines[-1] == "[]"
+
+
 # --- coarse-density and law-shape checks on the drivers themselves ---
 
 

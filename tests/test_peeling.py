@@ -114,6 +114,15 @@ def test_is_stopping_set_examples():
     assert is_stopping_set(H, np.array([0, 1, 2]))
 
 
+@pytest.mark.parametrize("vset", [[3, 3], [2.7], [-1], [4], np.array([1.0])])
+def test_is_stopping_set_rejects_bad_ids(vset):
+    # v-node 3 alone is no stopping set: vertices 2, 3, 4 are each touched once
+    H = _graph(3, 5, [[0, 1, 2], [0, 1, 2], [0, 1, 2], [2, 3, 4]])
+    assert not is_stopping_set(H, {3})
+    with pytest.raises(ValueError, match="v-node ids"):
+        is_stopping_set(H, vset)
+
+
 def test_batch_core_mask_matches_single():
     params = EnsembleParams(3, 30, 33)
     rng = np.random.default_rng(21)
