@@ -47,7 +47,7 @@ def airy_pair(zeta) -> AiryPair:
     """
     z = complex(zeta)
     r = abs(z)
-    if r > _MAX_ABS:
+    if not r <= _MAX_ABS:
         raise ValueError(f"|zeta| = {r} out of the supported disk (<= {_MAX_ABS})")
     if z.imag < 0.0:
         p = airy_pair(z.conjugate())

@@ -66,7 +66,7 @@ def main(argv=None) -> int:
     sp = sub.add_parser("constants", help="critical point and scaling constants")
     sp.add_argument("--l", type=int, default=3)
     sp.add_argument("--with-omega", action="store_true",
-                    help="also compute the minimum-law mean (slow)")
+                    help="also compute the minimum-law mean (about 2 s)")
 
     sp = sub.add_parser("omega", help="mean depth of the limiting minimum law")
 

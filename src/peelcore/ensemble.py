@@ -32,13 +32,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EnsembleParams:
-    """Size parameters: edge size l >= 3, n edges, m vertices."""
+    """Size parameters: edge size l >= 3, n edges, m vertices, all integers."""
 
     l: int
     n: int
     m: int
 
     def __post_init__(self):
+        for name in ("l", "n", "m"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.l < 3:
             raise ValueError(f"edge size l must be >= 3, got {self.l}")
         if self.n < 1 or self.m < 1:

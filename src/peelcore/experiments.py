@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
@@ -54,13 +55,20 @@ class ExperimentConfig:
     block: int = 500
 
     def __post_init__(self):
-        for name, low in (("l", 3), ("reps", 1), ("block", 1), ("workers", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name, low in (("l", 3), ("reps", 1), ("block", 1), ("workers", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
         for name in ("m_list", "n_list", "rho_list"):
             grid = getattr(self, name)
             if not all(v > 0 for v in grid):
                 raise ValueError(f"{name} entries must be > 0, got {grid}")
+        for name in ("m_list", "n_list"):
+            grid = getattr(self, name)
+            if not all(isinstance(v, numbers.Integral) for v in grid):
+                raise ValueError(f"{name} entries must be integers, got {grid}")
+        if not all(math.isfinite(v) for v in self.r_list):
+            raise ValueError(f"r_list entries must be finite, got {self.r_list}")
         if self.experiment in ("core-prob", "nc") and not self.m_list:
             raise ValueError(f"{self.experiment} needs a nonempty m_list")
         if self.experiment == "core-prob" and not (self.r_list or self.rho_list):

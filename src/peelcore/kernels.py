@@ -25,7 +25,6 @@ from .ensemble import (
     _exact_state,
     _log_factorials,
     log_coeff_band,
-    log_ensemble_count,
 )
 
 __all__ = [
@@ -109,12 +108,16 @@ def f1_prime(lam: float) -> float:
     return 1.0 + psi_prime(lam)
 
 
+_NEWTON_MAX = 40        # Newton steps before solve_lambda gives up; 11 suffice
+
+
 def solve_lambda(xi: float) -> float:
     """Inverse of f1 on [2, inf): the unique lam >= 0 with f1(lam) = xi.
 
-    Series inversion near the flat point xi = 2, then a short bisection to
-    localize and safeguarded Newton to finish; accepts a hair below 2
-    (rounding) and rejects anything lower.
+    Series inversion near the flat point xi = 2, else Newton from lam = xi.
+    f1 is increasing and convex with f1(lam) > lam, so the iterates fall
+    monotonically onto the root; the first step that does not decrease ends
+    the solve.  Accepts a hair below 2 (rounding) and rejects anything lower.
     """
     if not xi >= 2.0:
         if xi > 2.0 - 1e-9:
@@ -126,31 +129,13 @@ def solve_lambda(xi: float) -> float:
         return 0.0
     if d < 1e-6:
         return d * (3.0 + d * (-1.5 + 1.2 * d))
-    lo, hi = 0.0, xi  # f1(lam) > lam, so the root is below xi
-    for _ in range(12):
-        mid = 0.5 * (lo + hi)
-        if mid + 1.0 / f0_eval(mid) < xi:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
-    for _ in range(8):
-        r = lam + 1.0 / f0_eval(lam) - xi
-        if r == 0.0:
-            return lam
-        if r > 0.0:
-            hi = lam
-        else:
-            lo = lam
-        nxt = lam - r / (1.0 + psi_prime(lam))
-        if not lo < nxt < hi:
-            # clamp an overshoot to the violated end (the bracket may be 1 ulp wide)
-            b = hi if nxt >= hi else lo
-            nxt = b if b != lam else 0.5 * (lo + hi)
-        if nxt == lam:
+    lam = xi
+    for _ in range(_NEWTON_MAX):
+        nxt = lam - (lam + 1.0 / f0_eval(lam) - xi) / (1.0 + psi_prime(lam))
+        if not nxt < lam:
             return lam
         lam = nxt
-    return lam
+    raise RuntimeError(f"Newton on f1(lam) = {xi} did not settle in {_NEWTON_MAX} steps")
 
 
 # --- feasible set and probability triple ---
@@ -415,7 +400,7 @@ def sample_conditional_steps(profile, tau: int, params: EnsembleParams,
         raise ValueError("conditional stepping needs z1 >= 1")
     S = (n - tau) * l
     s_deg2 = S - z1
-    if log_ensemble_count((z1, z2), tau, params) == -np.inf:
+    if _empty_class(z1, z2, s_deg2, params.m):
         raise ValueError("infeasible profile")
     # stage-1 CDF per (t, s_rem = 2t + e), t vertices left: only e <= s_deg2 - 2 z2
     # is reachable, and a degree k > e + 2 has probability 0

@@ -259,26 +259,6 @@ def solve_y(rho: float, l: int, h: float = 1e-4,
     return OdeSolution(rho, l, thetas, ys, None)
 
 
-_KINK_TOL = 1e-8
-_FD_STEP = 1e-6
-
-
-def _A_any(x, p: ProbTriple, theta: float, l: int) -> np.ndarray:
-    """Drift Jacobian at x from its triple p; one-sided differences beside the x1 kink."""
-    x1, x2 = float(x[0]), float(x[1])
-    if x1 > _KINK_TOL:
-        return _jacobian(p, x2, theta, l)
-    x1c = max(x1, 0.0)
-    d = _FD_STEP
-
-    def F(a, b):
-        return rhs_F(p_triple(np.array([a, b]), theta, l), l)
-
-    col0 = (-3.0 * F(x1c, x2) + 4.0 * F(x1c + d, x2) - F(x1c + 2 * d, x2)) / (2.0 * d)
-    col1 = (F(x1c, x2 + d) - F(x1c, x2 - d)) / (2.0 * d)
-    return np.column_stack([col0, col1])
-
-
 def solve_Q(rho: float, l: int, h: float = 1e-4,
             theta_end: float = 0.95) -> OdeSolution:
     """RK4 for the joint (mean, covariance) system dQ = G + A Q + Q A^T.
@@ -294,7 +274,7 @@ def solve_Q(rho: float, l: int, h: float = 1e-4,
         x = project_feasible(state[:2], th, l)
         p = p_triple(x, th, l)
         Fv = rhs_F(p, l)
-        A = _A_any(x, p, th, l)
+        A = _jacobian(p, x[1], th, l)
         G = noise_G(p, l)
         M = A @ Q
         dQ = G + M + M.T

@@ -124,31 +124,45 @@ def standardize_core_size(sizes, n: int, cc: CriticalConstants):
     return float(out) if out.ndim == 0 else out
 
 
+def _scaled_tail(x):
+    """Phi(-x) exp(x^2/2) = erfcx(x/sqrt 2)/2, finite and O(1/x) for x >= 0."""
+    from scipy.special import erfcx
+    return 0.5 * erfcx(np.asarray(x, dtype=float) / _SQRT2)
+
+
 def core_size_density(z, r: float, cc: CriticalConstants):
     """Density of the rescaled core size, conditioned on a nonempty core, at
-    window coordinate r; supported on z > 0."""
+    window coordinate r; supported on z > 0.
+
+    For rb = r/alpha >= 0 the survival Phi(-rb) is taken in the scaled form
+    of _scaled_tail, so its exp(-rb^2/2) cancels the numerator's analytically
+    and neither underflows far past the window."""
     z = np.asarray(z, dtype=float)
     rb = r / cc.alpha
-    tail = std_normal_cdf(-rb)
-    out = np.where(z >= 0.0,
-                   2.0 * np.maximum(z, 0.0)
-                   * np.exp(-0.5 * (rb + z * z) ** 2) / (_SQRT_2PI * tail),
-                   0.0)
+    zp = np.maximum(z, 0.0)
+    z2 = zp * zp
+    if rb >= 0.0:
+        dens = 2.0 * zp * np.exp(-z2 * (rb + 0.5 * z2)) / (_SQRT_2PI * _scaled_tail(rb))
+    else:
+        dens = 2.0 * zp * np.exp(-0.5 * (rb + z2) ** 2) / (_SQRT_2PI * std_normal_cdf(-rb))
+    out = np.where(z >= 0.0, dens, 0.0)
     return float(out) if out.ndim == 0 else out
 
 
 def core_size_cdf(z, r: float, cc: CriticalConstants):
     """P(rb < X <= rb + z^2 | X > rb) for standard normal X, rb = r/alpha.
 
-    Each normal probability is taken in its small tail, so neither the
-    survival Phi(-rb) nor the numerator cancels for |r| of a few alpha."""
+    For rb >= 0 this is 1 - Phi(-rb - z^2)/Phi(-rb), both tails in the scaled
+    form of _scaled_tail; for rb < 0 the numerator Phi(rb + z^2) - Phi(rb) is
+    taken in its small tail.  Neither form cancels or underflows far from the
+    window center."""
     z = np.asarray(z, dtype=float)
     rb = r / cc.alpha
     z2 = z * z
     if rb >= 0.0:
-        mass = std_normal_cdf(-rb) - std_normal_cdf(-rb - z2)
+        mass = 1.0 - (_scaled_tail(rb + z2) / _scaled_tail(rb)
+                      * np.exp(-z2 * (rb + 0.5 * z2)))
     else:
-        mass = std_normal_cdf(rb + z2) - std_normal_cdf(rb)
-    out = np.where(z >= 0.0, mass / std_normal_cdf(-rb), 0.0)
-    out = np.clip(out, 0.0, 1.0)
+        mass = (std_normal_cdf(rb + z2) - std_normal_cdf(rb)) / std_normal_cdf(-rb)
+    out = np.clip(np.where(z >= 0.0, mass, 0.0), 0.0, 1.0)
     return float(out) if out.ndim == 0 else out

@@ -99,8 +99,9 @@ def test_airy_connection_identity():
 
 
 def test_airy_domain_guard():
-    with pytest.raises(ValueError):
-        airy_pair(51.0)
+    for zeta in (51.0, math.nan, complex(0.0, math.nan), math.inf):
+        with pytest.raises(ValueError, match="supported disk"):
+            airy_pair(zeta)
     airy_pair(49.9 + 0.0j)
 
 

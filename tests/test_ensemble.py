@@ -231,6 +231,10 @@ def test_params_validation():
         EnsembleParams(2, 5, 5)
     with pytest.raises(ValueError):
         EnsembleParams(3, 0, 5)
+    for args in ((3.5, 10, 10), (3, 10.5, 10), (3, 10, 10.0), (3, "10", 10)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            EnsembleParams(*args)
     params = EnsembleParams(3, 4, 5)
+    assert EnsembleParams(np.int64(3), np.int64(4), np.int64(5)) == params
     assert params.rho == pytest.approx(1.25)
     assert params.gamma == pytest.approx(12 / 5)

@@ -1,7 +1,9 @@
 """Experiment drivers: determinism, output formats, config handling, CLI."""
 
 import dataclasses
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -177,6 +179,31 @@ def test_replay_same_seed_identical(tmp_path):
     assert run_core_prob(other) != run_core_prob(cfg)
 
 
+# SHA-256 of the sample columns, as written, of the fixed-seed runs below.  The
+# analytic columns (r_tilde1, r_tilde2, prediction, z) move with the constants'
+# round-off, so they stay out of the digest.
+SAMPLE_COLUMNS_SHA256 = "ce532e66002d609d72043a2211f7e2219ecdc9fe08e69e50888ba179a84b6aeb"
+
+
+def test_fixed_seed_sample_columns_pinned(tmp_path):
+    digest = hashlib.sha256()
+    for experiment, run, emit, columns in (
+        ("core-prob", run_core_prob, emit_core_prob, ("p_hat", "se", "ci_lo", "ci_hi")),
+        ("nc", run_onset, emit_onset, ("n_c",)),
+        ("core-size", run_core_size, emit_core_size, ("core_size",)),
+    ):
+        cfg = _tiny_cfg(experiment, tmp_path / experiment, m_list=(120,),
+                        r_list=(-1.5, 0.0, 1.5), n_list=(100,), reps=500, seed=16,
+                        block=100)
+        with open(emit(cfg, run(cfg))[0]) as f:
+            header = f.readline().rstrip("\n").split(",")
+            idx = [header.index(c) for c in columns]
+            for line in f:
+                row = line.rstrip("\n").split(",")
+                digest.update((",".join(row[i] for i in idx) + "\n").encode())
+    assert digest.hexdigest() == SAMPLE_COLUMNS_SHA256
+
+
 def test_block_size_does_not_change_outputs(tmp_path):
     a = run_core_prob(_tiny_cfg("core-prob", tmp_path / "a", reps=48, block=48))
     b = run_core_prob(_tiny_cfg("core-prob", tmp_path / "b", reps=48, block=7))
@@ -237,6 +264,16 @@ def test_small_core_fraction_run():
     ("core-size", {"n_list": (-60,)}),
     ("core-prob", {"rho_list": (1.2, -1.2)}),
     ("core-prob", {"l": 2}),
+    ("core-prob", {"r_list": (0.0, math.nan)}),
+    ("core-prob", {"r_list": (math.inf,)}),
+    ("nc", {"m_list": (2.5,)}),
+    ("core-prob", {"m_list": (60, 60.0)}),
+    ("core-size", {"n_list": (60.5,)}),
+    ("core-prob", {"reps": 2.5}),
+    ("nc", {"block": 2.5}),
+    ("core-size", {"l": 3.5}),
+    ("core-prob", {"seed": 1.5}),
+    ("core-prob", {"seed": -1}),
 ])
 def test_config_rejects_bad_driver_inputs(tmp_path, experiment, bad):
     with pytest.raises(ValueError):

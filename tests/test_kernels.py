@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from peelcore import ensemble
+from peelcore import ensemble, kernels
 from peelcore.ensemble import EnsembleParams, degree_profile, log_ensemble_count, sample_uniform
 from peelcore.kernels import (
     ProbTriple,
@@ -220,7 +220,7 @@ def test_solve_lambda_round_trip():
 
 def test_solve_lambda_boundary():
     assert solve_lambda(2.0) == 0.0
-    # series/bisection switchover continuity around xi - 2 = 1e-6
+    # series/Newton switchover continuity around xi - 2 = 1e-6
     a = solve_lambda(2.0 + 0.99e-6)
     b = solve_lambda(2.0 + 1.01e-6)
     assert b > a > 0
@@ -230,13 +230,34 @@ def test_solve_lambda_boundary():
 
 
 def test_solve_lambda_at_exact_bisection_midpoint():
-    # the fixed point psi(lam) = lam makes lam = xi/2 the first midpoint;
-    # the solver must still converge to full precision there
+    # at the fixed point psi(lam) = lam the root is exactly xi/2; the solver
+    # must converge to full precision there
     xi = 2.512862417252339
     lam = solve_lambda(xi)
     assert f1_eval(lam) == pytest.approx(xi, rel=1e-14)
     assert lam == pytest.approx(1.2564312086261697, rel=1e-12)
     assert psi_eval(lam) == pytest.approx(lam, rel=1e-10)
+
+
+def test_solve_lambda_newton_falls_monotonically_onto_the_root(monkeypatch):
+    # f1 is increasing and convex, so Newton from lam = xi decreases at every
+    # step; each step evaluates f0 once, at the current iterate
+    iterates = []
+    real = kernels.f0_eval
+
+    def recorded(lam):
+        iterates.append(lam)
+        return real(lam)
+
+    monkeypatch.setattr(kernels, "f0_eval", recorded)
+    for d in np.logspace(-6, 6, 601):
+        xi = 2.0 + float(d)
+        iterates.clear()
+        lam = solve_lambda(xi)
+        assert abs(lam + 1.0 / real(lam) - xi) <= 4e-15 * xi
+        assert iterates[0] == xi and iterates[-1] == lam
+        assert np.all(np.diff(iterates) < 0)
+        assert len(iterates) <= kernels._NEWTON_MAX
 
 
 # --- feasibility projection ---

@@ -15,9 +15,9 @@ from peelcore.ensemble import EnsembleParams, initial_moments
 from peelcore import kernels
 from peelcore.kernels import p_triple, w_hat
 from peelcore.ode import (
-    _A_any,
     _dF1_dtheta,
     _grid,
+    _jacobian,
     _y_formula,
     critical_constants,
     critical_point,
@@ -98,12 +98,19 @@ def test_jacobian_finite_below_the_tilt_tolerance():
 
 
 def test_jacobian_fallback_continuous_at_kink():
-    # one-sided difference column just below the kink agrees with the analytic
-    # jacobian just above it
-    th = 0.2
-    above = jacobian_A((2e-8, 0.5), th, 3)
-    below = _A_any((0.0, 0.5), p_triple((0.0, 0.5), th, 3), th, 3)
-    assert np.allclose(above, below, atol=1e-4)
+    # at the kink x1 = 0 the analytic jacobian is the one-sided derivative:
+    # it matches second-order one-sided differences (x1 forward, x2 central)
+    # there, and the analytic jacobian just above the kink
+    th, x2, d = 0.2, 0.5, 1e-6
+
+    def F(a, b):
+        return rhs_F(p_triple((a, b), th, 3), 3)
+
+    col0 = (-3.0 * F(0.0, x2) + 4.0 * F(d, x2) - F(2 * d, x2)) / (2.0 * d)
+    col1 = (F(0.0, x2 + d) - F(0.0, x2 - d)) / (2.0 * d)
+    at_kink = _jacobian(p_triple((0.0, x2), th, 3), x2, th, 3)
+    assert np.allclose(at_kink, np.column_stack([col0, col1]), rtol=0.0, atol=1e-7)
+    assert np.allclose(at_kink, jacobian_A((2e-8, x2), th, 3), rtol=0.0, atol=1e-7)
 
 
 # --- closed form and validity ---
@@ -242,9 +249,8 @@ def test_cold_critical_constants_solves_the_tilt_at_the_default_step(monkeypatch
     critical_constants(3)
     _, theta_c, _ = critical_point(3)
     stages = len(_grid(theta_c, 1e-3)) - 1
-    # four solves per RK4 stage, plus O(1): the two at the critical state and
-    # the one-sided differences of the few stages beside the kink at x1 = 0
-    assert len(calls) <= 4 * stages + 50
+    # four solves per RK4 stage, plus the two at the critical state
+    assert len(calls) == 4 * stages + 2
 
 
 @pytest.mark.parametrize("l", [3, 4, 5, 6])

@@ -156,10 +156,13 @@ def test_core_size_cdf_matches_density(cc3_omega):
     assert core_size_cdf(50.0, r, cc3_omega) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("r", [-6.0, -2.0, 0.0, 2.0, 4.0, 5.0, 5.5, 6.0, 8.0])
+@pytest.mark.parametrize("r", [-6.0, -2.0, 0.0, 2.0, 4.0, 5.0, 5.5, 6.0, 8.0, 26.0, 30.0, 40.0])
 def test_core_size_law_against_mpmath(r, cc3):
     # far on the sparse side the survival Phi(-r/alpha) is tiny, far on the
-    # dense side the cdf's numerator is: neither may be a difference from 1
+    # dense side the cdf's numerator is: neither may be a difference from 1.
+    # From r = 26 on the survival underflows a double.  The reference on the sparse
+    # side is the complementary form: 50 digits cancel in
+    # ncdf(rb + z^2) - ncdf(rb) there.
     import mpmath as mp
 
     with mp.workdps(50):
@@ -167,7 +170,10 @@ def test_core_size_law_against_mpmath(r, cc3):
         tail = mp.ncdf(-rb)
         for z in (0.5, 1.0, 2.0):
             z2 = mp.mpf(z) ** 2
-            cdf = float((mp.ncdf(rb + z2) - mp.ncdf(rb)) / tail)
+            if rb >= 0:
+                cdf = float(1 - mp.ncdf(-rb - z2) / tail)
+            else:
+                cdf = float((mp.ncdf(rb + z2) - mp.ncdf(rb)) / tail)
             dens = float(2 * z * mp.exp(-(rb + z2) ** 2 / 2)
                          / (mp.sqrt(2 * mp.pi) * tail))
             assert core_size_cdf(z, r, cc3) == pytest.approx(cdf, rel=1e-12, abs=0.0)
