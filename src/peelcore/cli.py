@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -56,7 +57,10 @@ def _build_config(args, experiment: str) -> ExperimentConfig:
     return ExperimentConfig(experiment=experiment, **vals)
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and the environment is read per call in _build_config."""
     ap = argparse.ArgumentParser(
         prog="peelcore",
         description="Peeling experiments on random l-uniform hypergraphs "
@@ -83,8 +87,11 @@ def main(argv=None) -> int:
     sp.add_argument("--l", type=int, default=3)
     sp.add_argument("--n-list", type=str, default="100,200")
     sp.add_argument("--rho", type=float, default=1.2218)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "constants":
         cc = experiments.get_constants(args.l, with_omega=args.with_omega)

@@ -16,7 +16,9 @@ reverse deletion pass from the full-stream core visits every Core(t), and the
 onset is one past the index at which that pass empties the core.  The reverse
 pass runs on the batch peel's state and frontier step, every stream on its
 own schedule: a stream deletes its next top edge only once its last cascade
-has finished.
+has finished.  Its top pointer walks over the edges of its full-stream core
+only, so an edge outside that core costs no step; a core edge that an earlier
+cascade already killed costs a step but no deletion.
 """
 
 from __future__ import annotations
@@ -139,10 +141,12 @@ def batch_core_mask(sockets: np.ndarray, m: int) -> np.ndarray:
     the killed sockets plus a fixed cost per step, and a finished replicate
     costs nothing.  The fixpoint is each replicate's 2-core.
 
-    Raises ValueError for a non-integer socket table, which the int32 cast
-    would silently truncate, for a socket outside [0, m), which would
-    otherwise alias into a neighbouring replicate's vertices, and when R*m or
-    R*n*l reaches 2**31, past which the int32 vertex and edge ids would wrap.
+    Raises ValueError, before any pass over the data, for an m that is not a
+    positive integer, for a socket table that is not 3-D, for a non-integer
+    socket table, which the int32 cast would silently truncate, and when R*m
+    or R*n*l reaches 2**31, past which the int32 vertex and edge ids would
+    wrap; and for a socket outside [0, m), which would otherwise alias into a
+    neighbouring replicate's vertices.
     """
     peel = _FrontierPeel(sockets, m)
     return peel.alive.reshape(peel.shape[:2])
@@ -165,9 +169,20 @@ class _FrontierPeel:
     with multiplicity, so at degree 1 it is the id of the last live edge.  Ids
     stay below R*n and degrees below R*n*l, both under 2**31, so a sum stays
     below 2**62 and cannot overflow.
+
+    The (R*n, l) edge table is stored as int32, half the memory of intp.  A
+    step gathers with `ndarray.take` and casts the sockets it gathers to intp
+    once, because numpy's gathers and `ufunc.at` take their fast path only for
+    intp indices; every other index a step uses is intp already.
     """
 
     def __init__(self, sockets: np.ndarray, m: int):
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+            raise ValueError(f"m must be a positive integer, got {m!r}")
+        self.m = m = int(m)
+        sockets = np.asarray(sockets)
+        if sockets.ndim != 3:
+            raise ValueError(f"sockets must be a 3-D (R, n, l) array, got shape {sockets.shape}")
         R, n, l = self.shape = sockets.shape
         check_id_range(R, n, l, m)
         if not np.issubdtype(sockets.dtype, np.integer):
@@ -194,19 +209,19 @@ class _FrontierPeel:
         """Kill the distinct edges named by the frontier's id-sums, plus the
         live edges `extra` that no frontier vertex names; return the next
         frontier (touched vertices now of degree 1) and the killed edge ids."""
-        named = self.idsum[frontier]
+        named = self.idsum.take(frontier)
         # distinct edges without a sort: one write per name survives in slot,
         # whichever it is, and exactly that position reads its own index back
         at = np.arange(named.size, dtype=np.int32)
         self._slot[named] = at
-        dead = named[self._slot[named] == at]
+        dead = named[self._slot.take(named) == at]
         if extra is not None:
             dead = np.concatenate((dead, extra))
         self.alive[dead] = False
-        touched = self.edges[dead].ravel()
+        touched = self.edges.take(dead, axis=0).ravel().astype(np.intp)
         np.subtract.at(self.deg, touched, 1)
-        np.subtract.at(self.idsum, touched, np.repeat(dead, self.shape[2]))
-        return touched[self.deg[touched] == 1], dead
+        np.subtract.at(self.idsum, touched, dead.repeat(self.shape[2]))
+        return touched[self.deg.take(touched) == 1], dead
 
 
 def is_stopping_set(H: Hypergraph, vset) -> bool:
@@ -262,6 +277,10 @@ def onset_edge_count(edge_stream: np.ndarray, m: int) -> int:
     """Smallest prefix length of the edge stream whose hypergraph has a nonempty
     core, or n_max + 1 if even the whole stream has none: the one-stream form
     of `batch_onset_edge_counts` and its reverse pass."""
+    edge_stream = np.asarray(edge_stream)
+    if edge_stream.ndim != 2:
+        raise ValueError(f"edge_stream must be a 2-D (n_max, l) array, "
+                         f"got shape {edge_stream.shape}")
     return int(batch_onset_edge_counts(edge_stream[None], m)[0])
 
 
@@ -271,23 +290,31 @@ def batch_onset_edge_counts(sockets: np.ndarray, m: int) -> np.ndarray:
     One frontier peel gives each stream's full-stream core, and the reverse
     pass runs on the same state and step.  Within a step, a stream with
     frontier vertices pending keeps cascading, and one with none moves its top
-    pointer down by one and deletes that edge if it is live.  When a stream's
-    live-edge count reaches 0, its onset is one past its top pointer, the last
-    edge it deleted that way.  A stream whose full core is empty gets the
-    sentinel n_max + 1.
+    pointer down to the next edge of its full core and deletes that edge if it
+    is still live: the walk steps over full-core edges only, so an edge outside
+    the full core costs no step, and one that an earlier cascade killed costs a
+    step but no deletion.  When a stream's live-edge count reaches 0, its onset
+    is one past its top pointer, the last edge it deleted that way.  A stream
+    whose full core is empty gets the sentinel n_max + 1.
     """
     peel = _FrontierPeel(sockets, m)
     R, n, _ = peel.shape
+    m = peel.m
     live = peel.alive.reshape(R, n).sum(axis=1)
-    top = np.full(R, n, dtype=np.int64)
-    frontier = np.empty(0, dtype=np.int32)
+    # below[p]: the largest full-core position <= p of the flat stream table;
+    # a stream with live edges has one below its top, so it never reads past
+    # its own first edge
+    below = np.maximum.accumulate(np.where(peel.alive, np.arange(R * n), -1))
+    start = np.arange(R, dtype=np.int64) * n
+    top = start + n         # flat position of each stream's top pointer
+    frontier = np.empty(0, dtype=np.intp)
     while True:
-        busy = np.zeros(R, dtype=bool)
-        busy[frontier // m] = True
-        walk = np.flatnonzero((live > 0) & ~busy)
+        walking = live > 0
+        walking[frontier // m] = False
+        walk = walking.nonzero()[0]
         if not (walk.size or frontier.size):
-            return top + 1
-        top[walk] -= 1
-        cand = walk * n + top[walk]
-        frontier, dead = peel.step(frontier, cand[peel.alive[cand]])
+            return top - start + 1
+        cand = below.take(top.take(walk) - 1)
+        top[walk] = cand
+        frontier, dead = peel.step(frontier, cand[peel.alive.take(cand)])
         live -= np.bincount(dead // n, minlength=R)

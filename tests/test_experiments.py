@@ -378,6 +378,40 @@ def test_cli_core_prob_in_process(tmp_path, capsys):
     assert (out / "core_prob.csv").exists()
 
 
+def _cli_outputs(argv, out) -> dict:
+    assert cli.main([*argv, "--out-dir", str(out)]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_cli_cached_parser_keeps_runs_independent(tmp_path, monkeypatch, capsys):
+    # main builds its parser once per process, so neither a run nor a usage
+    # error may leave state behind that changes a later run
+    monkeypatch.delenv("PEELCORE_SEED", raising=False)
+    nc = ["nc", "--m-list", "30", "--reps", "6", "--seed", "3", "--block", "4"]
+    cp = ["core-prob", "--m-list", "50", "--r-list", "0.0", "--reps", "8",
+          "--seed", "2", "--block", "3"]
+    fresh = {}
+    for argv in (nc, cp):
+        cli._parser.cache_clear()
+        fresh[argv[0]] = _cli_outputs(argv, tmp_path / f"fresh-{argv[0]}")
+    cli._parser.cache_clear()
+    assert _cli_outputs(nc, tmp_path / "nc-1") == fresh["nc"]
+    with pytest.raises(SystemExit):
+        cli.main(["nc", "--reps", "six"])
+    assert _cli_outputs(cp, tmp_path / "cp") == fresh["core-prob"]
+    assert _cli_outputs(nc, tmp_path / "nc-2") == fresh["nc"]
+    assert cli._parser.cache_info().misses == 1
+    # the environment is read per call, not when the parser is built
+    unseeded = ["nc", "--m-list", "30", "--reps", "6", "--block", "4"]
+    by_env = {}
+    for seed in ("11", "12"):
+        monkeypatch.setenv("PEELCORE_SEED", seed)
+        by_env[seed] = _cli_outputs(unseeded, tmp_path / f"env-{seed}")
+        assert by_env[seed] == _cli_outputs(unseeded + ["--seed", seed],
+                                            tmp_path / f"flag-{seed}")
+    assert by_env["11"]["onset.csv"] != by_env["12"]["onset.csv"]
+
+
 def test_cli_predict_in_process(capsys):
     rc = cli.main(["predict", "--n", "1000", "--rho", "1.2217931327672212"])
     assert rc == 0

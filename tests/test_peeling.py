@@ -144,22 +144,25 @@ def test_batch_core_mask_on_edge_subtables():
     assert batch_core_mask(tables[:, [True, True, False]], 3).sum() == 2
 
 
+def _linear_onset(stream, m):
+    """Reference onset: peel every prefix of the stream until one has a core."""
+    for t in range(1, stream.shape[0] + 1):
+        if batch_core_mask(stream[None, :t, :], m)[0].any():
+            return t
+    return stream.shape[0] + 1
+
+
 def test_onset_matches_linear_scan():
     m = 40
     rng = np.random.default_rng(3)
     stream = rng.integers(0, m, size=(60, 3))
-    def linear(stream, m):
-        for t in range(1, stream.shape[0] + 1):
-            if batch_core_mask(stream[None, :t, :], m)[0].any():
-                return t
-        return stream.shape[0] + 1
-    assert onset_edge_count(stream, m) == linear(stream, m)
+    assert onset_edge_count(stream, m) == _linear_onset(stream, m)
     # batch version agrees replicate by replicate
     streams = rng.integers(0, m, size=(20, 60, 3))
     counts = batch_onset_edge_counts(streams, m)
     for i in range(20):
         assert counts[i] == onset_edge_count(streams[i], m)
-        assert counts[i] == linear(streams[i], m)
+        assert counts[i] == _linear_onset(streams[i], m)
 
 
 def test_onset_no_core_sentinel():
@@ -224,6 +227,44 @@ def test_peel_entry_points_reject_float_sockets(call):
     sockets = np.random.default_rng(7).uniform(0.0, 4.0, size=(2, 5, 3))
     with pytest.raises(ValueError, match="integer dtype"):
         call(sockets)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.int64, np.uint64,
+                                   "reversed view", "strided view"])
+def test_peel_entry_points_agree_across_socket_dtypes(dtype):
+    m = 60
+    sockets = np.random.default_rng(8).integers(0, m, size=(6, 80, 3))
+    if dtype == "reversed view":
+        table = sockets[:, ::-1][:, ::-1]
+    elif dtype == "strided view":
+        table = np.repeat(sockets, 2, axis=1)[:, ::2]
+        assert not table.flags.c_contiguous
+    else:
+        table = sockets.astype(dtype)
+    assert np.array_equal(batch_core_mask(table, m), batch_core_mask(sockets, m))
+    assert np.array_equal(batch_onset_edge_counts(table, m),
+                          batch_onset_edge_counts(sockets, m))
+    assert onset_edge_count(table[2], m) == batch_onset_edge_counts(sockets, m)[2]
+
+
+@pytest.mark.parametrize("call", [
+    lambda s, m: batch_core_mask(s, m),
+    lambda s, m: batch_onset_edge_counts(s, m),
+    lambda s, m: onset_edge_count(s[0], m),
+], ids=["batch_core_mask", "batch_onset_edge_counts", "onset_edge_count"])
+def test_peel_entry_points_name_a_bad_argument(call):
+    # a zero-stride table of 2**40 sockets: each refusal comes before any pass
+    # over the data
+    huge = np.broadcast_to(np.zeros(1, dtype=np.int64), (2**24, 2**14, 4))
+    for m in (3.0, 0, True, "3"):
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            call(huge, m)
+    with pytest.raises(ValueError, match=r"sockets must be a 3-D|edge_stream must be a 2-D"):
+        call(np.zeros((5, 3), dtype=np.int64), 4)
+    # a numpy integer m works too, uint64 included, whose floor division of
+    # an intp array would give float vertex indices
+    assert np.array_equal(call(np.zeros((2, 4, 3), dtype=np.int64), np.uint64(4)),
+                          call(np.zeros((2, 4, 3), dtype=np.int64), 4))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -382,3 +423,59 @@ def test_batch_onset_matches_reverse_walk_and_brute_force(case):
             n + 1)
         assert counts[r] == expected
     assert np.array_equal(batch_onset_edge_counts(streams[perm], m), counts[perm])
+
+
+def _skip_walk_streams(n: int, l: int, rng):
+    """Streams of n edges over m = 2n vertices, three of each kind: dense (over
+    n/2 vertices), critical (over n vertices), a pendant tail, and an empty
+    full core.  Returns (streams, m, tails): tails[r] is the first edge of a
+    stretch built to hold no core edge (the pendant tail, or 0 for an empty
+    full core), or None."""
+    m = 2 * n
+    streams, tails = [], []
+    for kind in ("dense", "critical", "pendant", "empty") * 3:
+        tail = None
+        if kind in ("dense", "critical"):
+            rows = rng.integers(0, n // 2 if kind == "dense" else n, size=(n, l))
+        elif kind == "pendant":
+            # a dense head, then 50-80% of the stream as edges that each hold a
+            # fresh vertex once: the last edge peels first, then the one before
+            tail = n - int(rng.integers(n // 2, 4 * n // 5 + 1))
+            used = list(range(max(tail // 2, 1)))
+            rows = [rng.integers(0, len(used), size=l) for _ in range(tail)]
+            for j in range(n - tail):
+                fresh = n + j
+                rows.append(rng.permutation([fresh, *rng.choice(used, size=l - 1)]))
+                used.append(fresh)
+        else:
+            # edge i holds pv[i] once and its other sockets in pv[i+1:], so
+            # the edges peel in the order 0, 1, ...: the full core is empty
+            pv = rng.permutation(m)
+            rows = [[pv[i], *rng.choice(pv[i + 1:], size=l - 1)] for i in range(n)]
+            rows = rng.permutation(rows)
+            tail = 0
+        streams.append(np.asarray(rows, dtype=np.int64).reshape(n, l))
+        tails.append(tail)
+    return np.stack(streams), m, tails
+
+
+@pytest.mark.parametrize("n", [40, 120])
+def test_onset_skip_walk_on_pendant_tails_and_empty_cores(n):
+    # The onset walk jumps from core edge to core edge of the full-stream core.
+    # At these sizes, far past the hypothesis test's, the pendant tails are
+    # long runs of edges outside that core.  Every edge outside the core needs
+    # a vertex of its own, so the streams have m = 2n vertices: at n = 2m no
+    # stream could have an empty core or a pendant tail over half its length.
+    streams, m, tails = _skip_walk_streams(n, 3, np.random.default_rng([17, n]))
+    alive = batch_core_mask(streams, m)
+    counts = batch_onset_edge_counts(streams, m)
+    for r, tail in enumerate(tails):
+        if tail is not None:
+            # the construction does what it says: nothing from the tail on is core
+            assert not alive[r, tail:].any()
+            assert alive[r].any() == (tail > 0)
+        expected = _reverse_onset(streams[r].tolist(), alive[r].tolist(), m)
+        assert counts[r] == expected
+        assert counts[r] == _linear_onset(streams[r], m)
+        assert batch_onset_edge_counts(streams[r:r + 1], m)[0] == expected   # R = 1
+    assert (counts == n + 1).sum() >= 3 and (counts <= n).sum() >= 9
