@@ -11,10 +11,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .ensemble import _require_int
 
 __all__ = [
     "AiryPair",
@@ -170,12 +171,10 @@ def mc_parabolic_min(reps: int, rng: np.random.Generator,
                      chunk: int = 250) -> np.ndarray:
     """Sample min over [-T, T] of t^2/2 + W(t) on a grid, with the conditional
     within-cell Brownian-bridge minimum so the discretization bias is tiny.
-    Raises ValueError, before any draw, for reps not an integer >= 0, chunk < 1,
-    dt <= 0 or horizon < dt."""
-    if not isinstance(reps, numbers.Integral) or reps < 0:
-        raise ValueError(f"reps must be an integer >= 0, got {reps!r}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    Raises ValueError, before any draw, for reps not an integer >= 0, chunk not
+    an integer >= 1, dt <= 0 or horizon < dt."""
+    _require_int("reps", reps, 0)
+    _require_int("chunk", chunk, 1)
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if not horizon >= dt:

@@ -30,6 +30,15 @@ __all__ = [
 ]
 
 
+def _require_int(name: str, value, low: int) -> int:
+    """value as an int; ValueError naming the argument for a bool, a non-integer
+    or a value below low.  Numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        positive = f"{name} must be a positive integer: " if low == 1 else ""
+        raise ValueError(f"{positive}{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class EnsembleParams:
     """Size parameters: edge size l >= 3, n edges, m vertices, all integers."""
@@ -39,14 +48,8 @@ class EnsembleParams:
     m: int
 
     def __post_init__(self):
-        for name in ("l", "n", "m"):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if self.l < 3:
-            raise ValueError(f"edge size l must be >= 3, got {self.l}")
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
+        for name, low in (("l", 3), ("n", 1), ("m", 1)):
+            _require_int(name, getattr(self, name), low)
 
     @property
     def rho(self) -> float:
@@ -122,8 +125,7 @@ def sample_profiles(params: EnsembleParams, reps: int,
     which are multinomial; sampling those directly is exact and much faster.
     ValueError for reps not an integer >= 0, before any draw.
     """
-    if not isinstance(reps, numbers.Integral) or reps < 0:
-        raise ValueError(f"reps must be an integer >= 0, got {reps!r}")
+    _require_int("reps", reps, 0)
     out = np.empty((reps, 2), dtype=np.int64)
     pvals = np.full(params.m, 1.0 / params.m)
     done = 0

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
@@ -21,6 +20,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from . import scaling
+from .ensemble import _require_int
 from .ode import CriticalConstants, critical_constants
 from .peeling import batch_core_mask, batch_onset_edge_counts, check_id_range
 
@@ -56,17 +56,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, low in (("l", 3), ("reps", 1), ("block", 1), ("workers", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or v < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
-        for name in ("m_list", "n_list", "rho_list"):
-            grid = getattr(self, name)
-            if not all(v > 0 for v in grid):
-                raise ValueError(f"{name} entries must be > 0, got {grid}")
+            _require_int(name, getattr(self, name), low)
         for name in ("m_list", "n_list"):
-            grid = getattr(self, name)
-            if not all(isinstance(v, numbers.Integral) for v in grid):
-                raise ValueError(f"{name} entries must be integers, got {grid}")
+            for v in getattr(self, name):
+                _require_int(f"{name} entry", v, 1)
+        if not all(v > 0 for v in self.rho_list):
+            raise ValueError(f"rho_list entries must be > 0, got {self.rho_list}")
         if not all(math.isfinite(v) for v in self.r_list):
             raise ValueError(f"r_list entries must be finite, got {self.r_list}")
         if self.experiment in ("core-prob", "nc") and not self.m_list:
@@ -118,8 +113,6 @@ def _n_for_r(r: float, m: int, rho_c: float) -> int:
 
 
 def _wilson_or_normal(p_hat: float, reps: int):
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / reps)
     z = 1.959963984540054
     if p_hat * (1.0 - p_hat) * reps < 10.0:
@@ -137,10 +130,8 @@ def _wilson_or_normal(p_hat: float, reps: int):
 
 
 def _blocks(reps: int, block: int):
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
+    _require_int("reps", reps, 1)
+    _require_int("block", block, 1)
     return [(b, min(block, reps - start))
             for b, start in enumerate(range(0, reps, block))]
 

@@ -2,17 +2,18 @@
 
 Exact finite-n kernel (ratio of ensemble counts times an explicit transition
 count, summed over a small integer simplex) and its large-n multinomial
-approximation, plus the conditional-ensemble sampler used to validate the exact
-kernel empirically.  The sampler is an independent oracle: it simulates the
-degrees and the matching and reads nothing of the exact kernel's moves or
-weights.  Its peel step draws only the v-node holding the leaf: a uniform
-(l - 1)-subset of the other sockets, the exact marginal of a uniform matching.
+approximation, both as probability arrays on one sorted list of the l(l + 1)/2
+increments (arrays() gives the support), plus the conditional-ensemble sampler
+used to validate the exact kernel empirically.  The sampler is an independent
+oracle: it simulates the degrees and the matching and reads nothing of the exact
+kernel's moves or weights.  Its peel step draws only the v-node holding the
+leaf: a uniform (l - 1)-subset of the other sockets, the exact marginal of a
+uniform matching.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,6 +25,7 @@ from .ensemble import (
     _empty_class,
     _exact_state,
     _log_factorials,
+    _require_int,
     log_coeff_band,
 )
 
@@ -210,20 +212,27 @@ def p_triple(x, theta: float, l: int) -> ProbTriple:
 # --- kernel distributions ---
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelDistribution:
-    """Finite distribution over profile increments (dz1, dz2)."""
+    """Law over profile increments (dz1, dz2): read-only arrays `keys`, (k, 2)
+    int64 rows sorted by increment, and `probs`, (k,) float64, zero off the
+    support.  Both kernels use the k = l(l + 1)/2 increments of _moves(l); the
+    absorbed identity is keys [[0, 0]], probs [1.0]."""
 
-    probs: dict
+    keys: np.ndarray
+    probs: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.keys, self.probs):
+            arr.flags.writeable = False
 
     def total(self) -> float:
-        return float(sum(self.probs.values()))
+        return float(sum(self.probs.tolist()))
 
     def arrays(self):
-        keys = sorted(self.probs)
-        inc = np.array(keys, dtype=np.int64).reshape(-1, 2)
-        p = np.array([self.probs[k] for k in keys])
-        return inc, p
+        """The support: the rows of keys and probs with probs > 0."""
+        keep = self.probs > 0
+        return self.keys[keep], self.probs[keep]
 
     def mean(self) -> np.ndarray:
         inc, p = self.arrays()
@@ -236,27 +245,23 @@ class KernelDistribution:
         return (centered * p[:, None]).T @ centered
 
     def support_in_box(self, l: int) -> bool:
-        return all(-l <= d1 <= l - 2 and -(l - 1) <= d2 <= 0 for d1, d2 in self.probs)
+        return all(-l <= d1 <= l - 2 and -(l - 1) <= d2 <= 0
+                   for d1, d2 in self.arrays()[0].tolist())
 
 
 def w_hat(x, theta: float, params: EnsembleParams) -> KernelDistribution:
     """Large-n kernel: (a0, a1, a2) multinomial(l - 1; p0, p1, p2) mapped to the
-    increment (a1 - a0 - 1, -a1)."""
+    increment (a1 - a0 - 1, -a1), one term per increment of _moves(l)."""
     p = p_triple(x, theta, params.l)
     lm1 = params.l - 1
-    out = {}
-    for a0 in range(lm1 + 1):
-        for a1 in range(lm1 - a0 + 1):
-            a2 = lm1 - a0 - a1
-            w = (
-                math.comb(lm1, a0) * math.comb(lm1 - a0, a1)
-                * p.p0 ** a0 * p.p1 ** a1 * p.p2 ** a2
-            )
-            if w == 0.0:
-                continue
-            key = (a1 - a0 - 1, -a1)
-            out[key] = out.get(key, 0.0) + w
-    return KernelDistribution(out)
+    keys = _moves(params.l)[0]
+    probs = np.empty(len(keys))
+    for i, (d1, d2) in enumerate(keys.tolist()):
+        a1 = -d2
+        a0 = a1 - d1 - 1
+        probs[i] = (math.comb(lm1, a0) * math.comb(lm1 - a0, a1)
+                    * p.p0 ** a0 * p.p1 ** a1 * p.p2 ** (lm1 - a0 - a1))
+    return KernelDistribution(keys, probs)
 
 
 @lru_cache(maxsize=256)
@@ -278,8 +283,8 @@ def _coeff_mixed(n_em1mx: int, n_em1: int, deg: int) -> Fraction:
 @lru_cache(maxsize=8)
 def _moves(l: int):
     """The exact kernel's moves at edge size l, sorted by increment (dz1, dz2):
-    the increments, where each one's moves start, the moves' (dz1, dz2, d_q0,
-    d_p0 + d_q1 + d_q2) and log(l! d_q0 coeff / (d_p0! d_q0! d_q1! d_q2!)).
+    the (k, 2) int64 increments, where each one's moves start, the moves' (dz1,
+    dz2, d_q0, d_p0 + d_q1 + d_q2) and log(l! d_q0 coeff / (d_p0! d_q0! d_q1! d_q2!)).
 
     Deleting a leaf's v-node empties d_q0 >= 1 degree-1 and d_p0 class-2
     vertices, takes d_q1 class-2 vertices to degree 1 and leaves d_q2 in class 2.
@@ -295,9 +300,9 @@ def _moves(l: int):
                    if _coeff_mixed(d_p0, d_q1 + d_q2, l - d_q0))
     moves = np.array(moves)
     starts = np.flatnonzero(np.r_[True, np.any(moves[1:, :2] != moves[:-1, :2], axis=1)])
-    keys = [(int(a), int(b)) for a, b in moves[starts, :2]]
+    keys = moves[starts, :2].astype(np.int64)
     ints = moves[:, :4].astype(np.int64)
-    for arr in (starts, ints, moves):
+    for arr in (keys, starts, ints, moves):
         arr.flags.writeable = False
     return keys, starts, ints, moves[:, 4]
 
@@ -314,7 +319,7 @@ def w_exact_states(profiles, tau: int, params: EnsembleParams) -> list:
     n, m, l = params.n, params.m, params.l
     states = [_exact_state(p, tau, n)[:2] for p in profiles]
     tau = int(tau)
-    out = [KernelDistribution({(0, 0): 1.0}) for _ in states]
+    out = [KernelDistribution(np.zeros((1, 2), dtype=np.int64), np.ones(1))] * len(states)
     live = [i for i, (z1, _) in enumerate(states) if z1 != 0]
     if not live:
         return out
@@ -337,10 +342,9 @@ def w_exact_states(profiles, tau: int, params: EnsembleParams) -> list:
     log_state = band[z2 - t_lo, s] + np.log(z1) - lf[z1] - lf[z2]
     log_term = (lc_next - lf[np.where(ok, z1c - d_q0, 0)] - lf[np.where(ok, z2c - d_out2, 0)]
                 - log_state[:, None] + (math.log(n - tau) + lf[S - l] - lf[S]) + log_w)
-    probs = np.add.reduceat(np.exp(log_term), starts, axis=1).tolist()
-    present = np.logical_or.reduceat(lc_next > -np.inf, starts, axis=1).tolist()
-    for i, row, hit in zip(live, probs, present):
-        out[i] = KernelDistribution({k: p for k, p, h in zip(keys, row, hit) if h})
+    probs = np.add.reduceat(np.exp(log_term), starts, axis=1)
+    for i, row in zip(live, probs):
+        out[i] = KernelDistribution(keys, row)
     return out
 
 
@@ -392,8 +396,7 @@ def sample_conditional_steps(profile, tau: int, params: EnsembleParams,
     exchangeable over vertex labels, so fixing the class layout is harmless.
     ValueError for reps not an integer >= 0, before any draw.
     """
-    if not isinstance(reps, numbers.Integral) or reps < 0:
-        raise ValueError(f"reps must be an integer >= 0, got {reps!r}")
+    _require_int("reps", reps, 0)
     n, l = params.n, params.l
     z1, z2, tau = _exact_state(profile, tau, n)
     if z1 <= 0:
@@ -467,7 +470,8 @@ def kernel_max_discrepancy(n: int, rho: float, l: int = 3) -> float:
     for tau, zs in by_tau.items():
         for (z1, z2), exact in zip(zs, w_exact_states(zs, tau, params)):
             approx = w_hat((z1 / n, z2 / n), tau / n, params)
-            keys = set(exact.probs) | set(approx.probs)
-            d = max(abs(exact.probs.get(k, 0.0) - approx.probs.get(k, 0.0)) for k in keys)
+            # an absorbed state's identity sits at (0, 0), off w_hat's increments
+            d = (float(np.abs(exact.probs - approx.probs).max())
+                 if exact.probs.shape == approx.probs.shape else 1.0)
             worst = max(worst, d)
     return worst

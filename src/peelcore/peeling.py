@@ -23,12 +23,11 @@ cascade already killed costs a step but no deletion.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import Hypergraph
+from .ensemble import Hypergraph, _require_int
 
 __all__ = [
     "PeelTrajectory",
@@ -177,9 +176,7 @@ class _FrontierPeel:
     """
 
     def __init__(self, sockets: np.ndarray, m: int):
-        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
-            raise ValueError(f"m must be a positive integer, got {m!r}")
-        self.m = m = int(m)
+        self.m = m = _require_int("m", m, 1)
         sockets = np.asarray(sockets)
         if sockets.ndim != 3:
             raise ValueError(f"sockets must be a 3-D (R, n, l) array, got shape {sockets.shape}")
@@ -229,13 +226,10 @@ def is_stopping_set(H: Hypergraph, vset) -> bool:
 
     vset is a set of v-node ids: ValueError for an id that is not an integer,
     lies outside [0, n) or is repeated."""
-    ids = list(vset)
-    if not all(isinstance(i, numbers.Integral) for i in ids):
-        raise ValueError(f"v-node ids must be integers, got {vset!r}")
-    idx = np.array(ids, dtype=np.int64)
+    idx = np.array([_require_int("v-node ids entry", i, 0) for i in vset], dtype=np.int64)
     if len(idx) == 0:
         return True
-    if idx.min() < 0 or idx.max() >= H.params.n:
+    if idx.max() >= H.params.n:
         raise ValueError(f"v-node ids must lie in [0, {H.params.n}), got {vset!r}")
     if len(np.unique(idx)) < len(idx):
         raise ValueError(f"v-node ids must be distinct, got {vset!r}")

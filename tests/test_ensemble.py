@@ -11,8 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from peelcore.airy import mc_parabolic_min
 from peelcore.ensemble import (
     EnsembleParams,
+    Hypergraph,
+    _require_int,
     degree_profile,
     initial_moments,
     log_coeff_rows,
@@ -21,7 +24,9 @@ from peelcore.ensemble import (
     sample_profiles,
     sample_uniform,
 )
-from peelcore.kernels import _coeff_mixed
+from peelcore.experiments import ExperimentConfig, small_core_fraction
+from peelcore.kernels import _coeff_mixed, sample_conditional_steps
+from peelcore.peeling import batch_core_mask, is_stopping_set
 
 
 # enumeration of all 3^6 tables at l=3, n=2, m=3
@@ -169,6 +174,41 @@ def test_sample_profiles_matches_degree_profile_law():
         res = stats.ks_2samp(fast[:, col], slow[:, col])
         assert res.pvalue > 1e-3
 
+
+_P = EnsembleParams(3, 20, 24)
+_H = Hypergraph(EnsembleParams(3, 2, 4), np.array([[0, 1, 2], [0, 1, 3]]))
+
+
+@pytest.mark.parametrize("name,call", [
+    ("n", lambda rng: EnsembleParams(3, True, 5)),
+    ("reps", lambda rng: ExperimentConfig(reps=True)),
+    ("workers", lambda rng: ExperimentConfig(workers=True)),
+    ("seed", lambda rng: ExperimentConfig(seed=False)),
+    ("m_list entry", lambda rng: ExperimentConfig(m_list=(60, True))),
+    ("n_list entry", lambda rng: ExperimentConfig(n_list=(np.float64(500),))),
+    ("reps", lambda rng: sample_profiles(_P, True, rng)),
+    ("reps", lambda rng: sample_conditional_steps((7, 9), 3, _P, True, rng)),
+    ("reps", lambda rng: mc_parabolic_min(True, rng)),
+    ("chunk", lambda rng: mc_parabolic_min(10, rng, chunk=2.5)),
+    ("m", lambda rng: batch_core_mask(np.zeros((1, 2, 3), dtype=np.int64), True)),
+    ("v-node ids entry", lambda rng: is_stopping_set(_H, [True])),
+    ("reps", lambda rng: small_core_fraction(3, 80, 98, reps=True, seed=1)),
+    ("block", lambda rng: small_core_fraction(3, 80, 98, reps=10, seed=1, block=2.5)),
+], ids=["EnsembleParams-n", "config-reps", "config-workers", "config-seed",
+        "config-m_list", "config-n_list", "sample_profiles-reps",
+        "sample_conditional_steps-reps", "mc_parabolic_min-reps",
+        "mc_parabolic_min-chunk", "batch_core_mask-m", "is_stopping_set-ids",
+        "small_core_fraction-reps", "small_core_fraction-block"])
+def test_integer_arguments_refuse_bools_and_non_integers(name, call, no_draws):
+    # each refusal names its argument and comes before any draw
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call(no_draws)
+
+
+def test_require_int_accepts_numpy_integers():
+    for v in (np.int64(4), np.uint8(4), np.int32(4)):
+        got = _require_int("n", v, 1)
+        assert got == 4 and type(got) is int
 
 @pytest.mark.parametrize("reps", [-1, 2.5, "10"])
 def test_sample_profiles_rejects_bad_reps_before_drawing(reps, no_draws):

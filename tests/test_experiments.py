@@ -64,11 +64,6 @@ def test_wilson_fallback_at_extreme_frequencies():
     assert 0.0 <= lo3 < hi3 <= 1.0
 
 
-def test_wilson_rejects_nonpositive_reps():
-    with pytest.raises(ValueError):
-        _wilson_or_normal(0.0, 0)
-
-
 @pytest.mark.parametrize("emit,experiment", [
     (emit_core_prob, "core-prob"), (emit_onset, "nc"), (emit_core_size, "core-size")])
 def test_emitters_reject_empty_results(tmp_path, emit, experiment):

@@ -21,7 +21,9 @@ from peelcore.ensemble import EnsembleParams, degree_profile, log_ensemble_count
 from peelcore.kernels import (
     ProbTriple,
     _delete_leaf_vnode,
+    _moves,
     _partner_slots,
+    default_state_grid,
     f0_eval,
     f1_eval,
     f1_prime,
@@ -59,11 +61,17 @@ ORACLE_TAU1 = {
 }
 
 
+def _law(d):
+    """A kernel's support as {(dz1, dz2): probability}."""
+    inc, p = d.arrays()
+    return dict(zip(map(tuple, inc.tolist()), p.tolist()))
+
+
 @pytest.mark.parametrize("tau,oracle", [(0, ORACLE_TAU0), (1, ORACLE_TAU1)])
 def test_exact_kernel_matches_enumeration(tau, oracle):
     params = EnsembleParams(3, 3, 4)
     for z, law in oracle.items():
-        got = w_exact(z, tau, params).probs
+        got = _law(w_exact(z, tau, params))
         assert set(got) == set(law)
         for k, v in law.items():
             assert got[k] == pytest.approx(v, abs=1e-12)
@@ -101,7 +109,7 @@ def test_exact_kernel_live_enumeration_n2():
             norm[key] += w
     params = EnsembleParams(l, n, m)
     for key, law in acc.items():
-        got = w_exact(key, 0, params).probs
+        got = _law(w_exact(key, 0, params))
         ref = {k: v / norm[key] for k, v in law.items()}
         assert set(got) == set(ref)
         for k, v in ref.items():
@@ -111,7 +119,7 @@ def test_exact_kernel_live_enumeration_n2():
 def test_identity_kernel_at_absorbed_state():
     params = EnsembleParams(3, 10, 12)
     d = w_exact((0, 5), 3, params)
-    assert d.probs == {(0, 0): 1.0}
+    assert _law(d) == {(0, 0): 1.0}
 
 
 def test_exact_kernel_rejects_infeasible():
@@ -146,10 +154,10 @@ def test_array_kernel_matches_per_state_kernel():
               if log_ensemble_count((z1, z2), tau, params) > -np.inf]
     assert len(states) > 100
     for z, law in zip(states, w_exact_states(states, tau, params)):
-        single = w_exact(z, tau, params).probs
-        assert set(law.probs) == set(single)
+        single, batch = _law(w_exact(z, tau, params)), _law(law)
+        assert set(batch) == set(single)
         for k, v in single.items():
-            assert law.probs[k] == pytest.approx(v, rel=1e-14, abs=0.0)
+            assert batch[k] == pytest.approx(v, rel=1e-14, abs=0.0)
 
 
 def test_kernels_normalized_without_renormalization_n12():
@@ -336,9 +344,9 @@ def test_w_hat_corner_point_masses():
     params = EnsembleParams(3, 10, 12)
     L = 3.0
     d = w_hat((L, 0.0), 0.0, params)           # p0 = 1
-    assert d.probs == {(-3, 0): pytest.approx(1.0)}
+    assert _law(d) == {(-3, 0): pytest.approx(1.0)}
     d2 = w_hat((0.0, 1e-15), 0.0, params)      # p2 = 1
-    assert d2.probs == {(-1, 0): pytest.approx(1.0)}
+    assert _law(d2) == {(-1, 0): pytest.approx(1.0)}
 
 
 def test_w_hat_mean_formula():
@@ -504,6 +512,66 @@ def test_discrepancy_positive_and_decreasing():
     d48 = kernel_max_discrepancy(48, 1.2218)
     assert d16 > d48 > 0
 
+
+@pytest.mark.parametrize("l", range(3, 9))
+def test_both_kernels_share_one_increment_list(l):
+    keys = _moves(l)[0]
+    assert keys.dtype == np.int64 and keys.shape == (l * (l + 1) // 2, 2)
+    exact = w_exact((5, 10), 0, EnsembleParams(l, 40, 50))
+    approx = w_hat((0.3, 0.4), 0.1, EnsembleParams(l, 40, 50))
+    for d in (exact, approx):
+        assert np.array_equal(d.keys, keys)
+        assert d.probs.dtype == np.float64 and d.probs.shape == (len(keys),)
+        assert not d.keys.flags.writeable and not d.probs.flags.writeable
+    # an interior state gives every multinomial term a positive weight
+    assert np.array_equal(approx.arrays()[0], keys)
+
+
+@pytest.mark.parametrize("l,z,tau,n,m", [(3, (7, 9), 3, 20, 24), (4, (6, 11), 0, 30, 40),
+                                         (5, (3, 2), 7, 12, 15)])
+def test_exact_kernel_reads_n_and_tau_through_n_minus_tau(l, z, tau, n, m):
+    got = w_exact(z, tau, EnsembleParams(l, n, m)).arrays()
+    for d in (1, 17):
+        shifted = w_exact(z, tau + d, EnsembleParams(l, n + d, m)).arrays()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, shifted))
+
+
+@pytest.mark.parametrize("n,l,rho", [(16, 3, 1.2218), (48, 3, 1.2218), (16, 4, 1.2218),
+                                     (48, 4, 1.2218), (3, 3, 0.6)])
+def test_discrepancy_matches_key_union_reference(n, l, rho):
+    # at n = 3, rho = 0.6 every grid state is absorbed (z1 = 0)
+    params = EnsembleParams(l, n, int(round(n * rho)))
+    ref = 0.0
+    for x1, x2, theta in default_state_grid(l, rho):
+        z, tau = (int(round(n * x1)), int(round(n * x2))), int(round(n * theta))
+        exact = _law(w_exact(z, tau, params))
+        approx = _law(w_hat((z[0] / n, z[1] / n), tau / n, params))
+        ref = max(ref, max(abs(exact.get(k, 0.0) - approx.get(k, 0.0))
+                           for k in set(exact) | set(approx)))
+    assert kernel_max_discrepancy(n, rho, l) == ref
+
+
+# SHA-256 of the arrays() bytes of c05's exact law and of both kernels on the
+# kernel-check grid at n = 100 and 200, then repr(D(100)) and repr(D(200))
+KERNEL_ARRAYS_SHA256 = "2340c82802ff60772af016b99260420fc6223471a178ddf3927198054c55e8ae"
+
+
+def test_kernel_arrays_and_discrepancy_pinned():
+    h = hashlib.sha256()
+
+    def add(d):
+        for a in d.arrays():
+            h.update(np.ascontiguousarray(a).tobytes())
+
+    add(w_exact((7, 9), 3, EnsembleParams(3, 20, 24)))
+    for n in (100, 200):
+        params = EnsembleParams(3, n, int(round(n * 1.2218)))
+        for x1, x2, theta in default_state_grid(3, 1.2218):
+            z, tau = (int(round(n * x1)), int(round(n * x2))), int(round(n * theta))
+            add(w_exact(z, tau, params))
+            add(w_hat((z[0] / n, z[1] / n), tau / n, params))
+        h.update(repr(kernel_max_discrepancy(n, 1.2218)).encode())
+    assert h.hexdigest() == KERNEL_ARRAYS_SHA256
 
 @pytest.mark.parametrize("tau", [0, 300])
 def test_exact_kernel_deep_state_normalized(tau):
